@@ -110,7 +110,7 @@ func run(args []string) error {
 	workers := fs.Int("workers", 0, "session-pool size (0 = GOMAXPROCS)")
 	queue := fs.Int("queue", 0, "admission queue depth (0 = 4x workers)")
 	queueTimeout := fs.Duration("queue-timeout", 2*time.Second, "max queue wait before 503")
-	maxBatch := fs.Int("max-batch", 0, "max queued requests a worker coalesces into one multi-image pass (0 = 16, 1 disables)")
+	maxBatch := fs.Int("max-batch", 0, "max queued requests a worker coalesces into one multi-image pass; below it a worker takes its fair share, ceil(pending/workers) (0 = 16, 1 disables)")
 	coalesceWait := fs.Duration("coalesce-wait", 0, "how long a worker holds a dequeued request gathering batchmates (0 = drain-and-go)")
 	topK := fs.Int("topk", 3, "default ranked classes per result")
 	trainN := fs.Int("train", 4000, "training examples (when the cache misses)")

@@ -3,6 +3,8 @@ package serve
 import (
 	"context"
 	"errors"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -62,6 +64,150 @@ func TestServeBatchSizeInvariance(t *testing.T) {
 		if a.Stats != b.Stats {
 			t.Fatalf("image %d: per-request stats differ across batch sizes:\nserial  %+v\nbatched %+v",
 				i, a.Stats, b.Stats)
+		}
+	}
+}
+
+// TestFairShare pins the coalescing cap: an even split of the pending work
+// across the pool, clamped to [1, MaxBatch]. One worker takes the whole
+// queue — the greedy drain.
+func TestFairShare(t *testing.T) {
+	for _, c := range []struct{ pending, workers, maxBatch, want int }{
+		// workers=1 is the greedy drain: min(pending, maxBatch).
+		{1, 1, 16, 1},
+		{5, 1, 16, 5},
+		{16, 1, 16, 16},
+		{40, 1, 16, 16},
+		// The ceil split.
+		{16, 2, 16, 8},
+		{15, 2, 16, 8},
+		{17, 2, 16, 9},
+		{16, 3, 16, 6},
+		{7, 4, 16, 2},
+		// The MaxBatch clamp.
+		{64, 2, 16, 16},
+		{16, 2, 4, 4},
+		{16, 2, 1, 1},
+		// Fewer jobs than workers: each worker takes only the one it holds.
+		{1, 2, 16, 1},
+		{3, 4, 16, 1},
+	} {
+		if got := fairShare(c.pending, c.workers, c.maxBatch); got != c.want {
+			t.Errorf("fairShare(pending=%d, workers=%d, maxBatch=%d) = %d, want %d",
+				c.pending, c.workers, c.maxBatch, got, c.want)
+		}
+	}
+}
+
+// TestServeBatchFairShare: a 16-request burst queued while both workers of
+// a two-worker pool are busy must be split between them — no pass larger
+// than ceil(16/2), both workers running a multi-image pass — instead of the
+// first free worker draining it all. The split is a scheduling decision
+// only: every answer equals the serial (Workers=1, MaxBatch=1) answer for
+// the same seed.
+func TestServeBatchFairShare(t *testing.T) {
+	eng, _ := testEngine(t, 0.01)
+	const n, workers = 16, 2
+	const seedBase = 11000
+	inputs := make([]*nn.Tensor, n)
+	for i := range inputs {
+		inputs[i] = testInput(uint64(i))
+	}
+
+	cfg := Config{Workers: workers, QueueDepth: 2 * n, MaxBatch: n, QueueTimeout: time.Minute}
+	// Each worker parks on its first dequeue, so the burst queues behind
+	// two busy workers.
+	var dequeues atomic.Int32
+	parked := make(chan struct{}, workers)
+	gate := make(chan struct{})
+	cfg.dequeueHook = func() {
+		if dequeues.Add(1) <= workers {
+			parked <- struct{}{}
+			<-gate
+		}
+	}
+	// The first multi-image pass waits in the batch hook until a second one
+	// arrives. A worker cannot reach the hook twice while parked in it, so
+	// the two passes are one per worker, and neither worker can take a
+	// second share before the other has coalesced its first.
+	var (
+		mu       sync.Mutex
+		passes   []int
+		timedOut atomic.Bool
+	)
+	barrier := make(chan struct{})
+	cfg.batchHook = func(jobs []*job) {
+		mu.Lock()
+		passes = append(passes, len(jobs))
+		k := len(passes)
+		mu.Unlock()
+		switch k {
+		case 1:
+			select {
+			case <-barrier:
+			case <-time.After(10 * time.Second):
+				timedOut.Store(true)
+			}
+		case 2:
+			close(barrier)
+		}
+	}
+	s, err := NewScheduler(eng, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close(context.Background())
+
+	jobs := make([]*job, n)
+	for i := range jobs {
+		if jobs[i], err = s.submit(context.Background(), inputs[i], seedBase+uint64(i), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < workers; i++ {
+		<-parked
+	}
+	close(gate)
+	got := make([]Prediction, n)
+	for i, j := range jobs {
+		r := <-j.resp
+		if r.err != nil {
+			t.Fatalf("job %d failed: %v", i, r.err)
+		}
+		got[i] = r.pred
+	}
+
+	if timedOut.Load() || len(passes) < workers {
+		t.Fatalf("want a multi-image pass on each of %d workers, got passes %v", workers, passes)
+	}
+	share := (n + workers - 1) / workers
+	for _, size := range passes {
+		if size > share {
+			t.Fatalf("a pass took %d images, more than the fair share %d; passes %v", size, share, passes)
+		}
+	}
+	if bst := s.BatchStatus(); bst.SizeSum != n {
+		t.Fatalf("coalescing telemetry counted %d images, want %d", bst.SizeSum, n)
+	}
+
+	serial, err := NewScheduler(eng, Config{Workers: 1, QueueDepth: 2 * n, MaxBatch: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer serial.Close(context.Background())
+	want, err := serial.PredictBatch(context.Background(), inputs, seedBase, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		a, b := want[i], got[i]
+		if a.Seed != b.Seed || a.Class != b.Class || a.Stats != b.Stats || len(a.TopK) != len(b.TopK) {
+			t.Fatalf("image %d: serial %+v != fair-share %+v", i, a, b)
+		}
+		for k := range a.TopK {
+			if a.TopK[k] != b.TopK[k] {
+				t.Fatalf("image %d: rankings differ: %v vs %v", i, a.TopK, b.TopK)
+			}
 		}
 	}
 }

@@ -33,18 +33,25 @@ type Config struct {
 	// does not ask for a specific k (0 = 3).
 	TopK int
 	// MaxBatch caps how many queued requests one worker coalesces into a
-	// single multi-image layer-MVM pass over the shared arrays. Each image
-	// keeps its own noise stream, so coalescing never changes results —
-	// prediction i is the same pure function of (engine, seed) whether it
-	// is served alone or with 15 batchmates. 0 = 16; 1 disables coalescing
-	// (the pre-batch serial worker, byte for byte).
+	// single multi-image layer-MVM pass over the shared arrays. Below the
+	// cap a worker takes only its fair share of the pending work —
+	// ceil(pending / Workers), pending counting the queue and every
+	// request already dequeued and not yet answered — and leaves the rest
+	// queued for the other workers, so a burst is split across the pool
+	// instead of landing on the first worker free. With one worker that is
+	// the whole queue.
+	// Each image keeps its own noise stream, so coalescing never changes
+	// results — prediction i is the same pure function of (engine, seed)
+	// whether it is served alone or with 15 batchmates. 0 = 16; 1 disables
+	// coalescing (the pre-batch serial worker, byte for byte).
 	MaxBatch int
-	// CoalesceWait is how long a worker that dequeued a request holds it
-	// waiting for batchmates before evaluating (only while the batch is
-	// not full). 0 — the default — never waits: the worker drains whatever
-	// is already queued and goes, so an idle pool adds no latency. A small
-	// wait (tens of microseconds) trades first-image latency for batch
-	// occupancy under bursty arrivals.
+	// CoalesceWait is how long a worker holds a batch open waiting for
+	// batchmates before evaluating. The wait starts only when the queue ran
+	// dry before the worker's fair share was reached, and it fills the
+	// batch up to MaxBatch. 0 — the default — never waits: the worker takes
+	// its share of what is already queued and goes, so an idle pool adds no
+	// latency. A small wait (tens of microseconds) trades first-image
+	// latency for batch occupancy under bursty arrivals.
 	CoalesceWait time.Duration
 	// Recovery wires the ECU-driven health monitor and the
 	// retry → remap → degrade ladder into the pool. Disabled by default:

@@ -353,8 +353,9 @@ func (s *Scheduler) submit(ctx context.Context, input *nn.Tensor, seed uint64, t
 
 // worker is one evaluation stream: it owns a session and serves queued jobs
 // until the queue is closed and drained. When the session supports batching
-// it coalesces whatever is already queued (plus an optional CoalesceWait
-// window) into one multi-image layer-MVM pass, up to MaxBatch images.
+// it coalesces its fair share of the pending work (plus an optional
+// CoalesceWait window) into one multi-image layer-MVM pass, up to MaxBatch
+// images.
 func (s *Scheduler) worker(id uint64) {
 	defer s.wg.Done()
 	w := &workerState{sess: s.newSession(id), perLayer: make(map[int]accel.Stats)}
@@ -408,12 +409,30 @@ func (s *Scheduler) worker(id uint64) {
 	}
 }
 
-// coalesce greedily drains already-queued jobs into the batch, then — when
-// CoalesceWait is set and the batch is not full — holds the batch open for
-// late batchmates. The dequeue hook fires once per job, like the serial
-// loop's.
+// fairShare is how many of the pending jobs — those queued plus those
+// dequeued and not yet answered anywhere in the pool, the worker's own
+// included — one worker takes into its next pass: an even split across the
+// workers, at least one, at most maxBatch. With one worker that is
+// everything pending, the greedy drain.
+func fairShare(pending, workers, maxBatch int) int {
+	return max(1, min((pending+workers-1)/workers, maxBatch))
+}
+
+// coalesce drains the worker's fair share of the pending jobs into the
+// batch and leaves the rest queued for the other workers. Counting the jobs
+// other workers are still serving keeps a worker that dequeues behind a
+// busy one from halving the remainder again (8, then 4 + 2 + 1 + 1): it
+// takes what balances the two. Only when the queue runs dry first does it
+// — with CoalesceWait set — hold the batch open for late batchmates, up to
+// the full maxB. The share is re-read per job, so a burst still arriving
+// while the worker drains grows it. The dequeue hook fires once per job,
+// like the serial loop's.
 func (s *Scheduler) coalesce(w *workerState, batch *[]*job, maxB int) {
 	for len(*batch) < maxB {
+		q := len(s.queue)
+		if q > 0 && len(*batch) >= fairShare(q+int(s.inflight.Load()), s.cfg.Workers, maxB) {
+			return
+		}
 		select {
 		case jb, ok := <-s.queue:
 			if !ok {
