@@ -5,6 +5,9 @@ import (
 	"math"
 	"math/bits"
 	"math/rand/v2"
+	"runtime"
+	"slices"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/crossbar"
@@ -161,30 +164,50 @@ func MapMatrix(cfg Config, outDim, inDim int, weightAt func(r, c int) float64, s
 
 	m := &MappedMatrix{cfg: cfg, sampler: sampler, outDim: outDim, inDim: inDim, scale: q.Scale,
 		pulseFail: sampler.PulseFailProbs()}
-	rng := stats.SubRNG(cfg.Seed, seed)
-	// The verify loop draws pulse misses from its own stream so enabling
-	// closed-loop programming does not perturb the fault-injection draws —
-	// recorded experiment seeds keep reproducing.
-	vrng := stats.SubRNG(cfg.Seed, seed^verifySeedSalt)
-	staticCache := map[int]*core.Code{}
-
+	var places []groupPlace
 	for lo := 0; lo < inDim; lo += cfg.ArraySize {
-		hi := min(lo+cfg.ArraySize, inDim)
-		ch := &chunk{colLo: lo, colHi: hi}
+		m.chunks = append(m.chunks, &chunk{colLo: lo, colHi: min(lo+cfg.ArraySize, inDim)})
 		for gLo := 0; gLo < internalOut; gLo += cfg.Scheme.GroupOps {
-			gHi := min(gLo+cfg.Scheme.GroupOps, internalOut)
-			outRows := make([]int, 0, gHi-gLo)
-			for r := gLo; r < gHi; r++ {
-				outRows = append(outRows, r)
+			places = append(places, groupPlace{chunk: len(m.chunks) - 1, gLo: gLo,
+				gHi: min(gLo+cfg.Scheme.GroupOps, internalOut)})
+		}
+	}
+	mp := &mapPass{m: m, biased: biased,
+		rng: stats.SubRNG(cfg.Seed, seed),
+		// The verify loop draws pulse misses from its own stream so
+		// enabling closed-loop programming does not perturb the
+		// fault-injection draws — recorded experiment seeds keep
+		// reproducing.
+		vrng:        stats.SubRNG(cfg.Seed, seed^verifySeedSalt),
+		staticCache: map[int]*core.Code{},
+	}
+	// Groups go through three phases in windows: draw (rng, serial, group
+	// order), A search (pure, fanned across GOMAXPROCS), program (vrng,
+	// serial, group order). Each stream is consumed exactly as a one-group-
+	// at-a-time pass would consume it, so the window size and the worker
+	// count cannot move a draw; bounding the window bounds the plans held
+	// at once.
+	mp.startSearch(len(places))
+	defer mp.stopSearch()
+	window := mapWindowPerProc * runtime.GOMAXPROCS(0)
+	plans := make([]groupPlan, min(window, len(places)))
+	for lo := 0; lo < len(places); lo += window {
+		batch := plans[:min(window, len(places)-lo)]
+		for i := range batch {
+			if err := mp.draw(&batch[i], places[lo+i]); err != nil {
+				return nil, err
 			}
-			g, err := m.buildGroup(biased, outRows, lo, hi, rng, vrng, staticCache)
+		}
+		mp.searchAll(batch)
+		for i := range batch {
+			g, err := mp.program(&batch[i])
 			if err != nil {
 				return nil, err
 			}
+			ch := m.chunks[places[lo+i].chunk]
 			ch.groups = append(ch.groups, g)
 			m.PhysicalRows += g.arr.Rows
 		}
-		m.chunks = append(m.chunks, ch)
 	}
 	return m, nil
 }
@@ -207,50 +230,99 @@ func groupDataBits(layout core.GroupLayout) int {
 	return (layout.Operands-1)*layout.LaneBits() + layout.OperandBits
 }
 
-func (m *MappedMatrix) buildGroup(biased []uint64, outRows []int, colLo, colHi int,
-	rng, vrng *rand.Rand, staticCache map[int]*core.Code) (*group, error) {
+// mapWindowPerProc is how many groups per GOMAXPROCS one mapping window
+// holds.
+const mapWindowPerProc = 4
 
-	cols := colHi - colLo
-	layout := m.layoutFor(len(outRows), cols)
+// groupPlace locates one coded group: its chunk and its internal output
+// row range.
+type groupPlace struct {
+	chunk    int
+	gLo, gHi int
+}
+
+// mapPass is one MapMatrix call's state across the draw, search, and
+// program phases.
+type mapPass struct {
+	m           *MappedMatrix
+	biased      []uint64
+	rng, vrng   *rand.Rand
+	staticCache map[int]*core.Code
+	ops         []uint64
+	// searchers holds one A-search worker's reusable buffers each, grown
+	// on first use; feeds hands each window to workers 1..n-1, searched
+	// counts their shares of the window still running, and exited the
+	// workers not yet returned.
+	searchers []abnSearcher
+	feeds     []chan []groupPlan
+	searched  sync.WaitGroup
+	exited    sync.WaitGroup
+}
+
+// groupPlan is one group between its draw and program phases: the packed
+// operands, the row geometry, the characterized fault populations drawn
+// for its cells, and (after the search) its code.
+type groupPlan struct {
+	outRows      []int
+	colLo, colHi int
+	layout       core.GroupLayout
+	nRows        int
+	packed       []core.Word // reused across windows
+	stuck        []noise.StuckCell
+	giant        []noise.GiantCell
+	code         *core.Code // static code, or the searched one for ABN; nil for NoECC
+}
+
+// draw runs a group's draw phase: pack the lane operands, size the row
+// count, and draw its stuck and giant-RTN-prone cells and their
+// characterization from the fault-injection stream.
+func (mp *mapPass) draw(p *groupPlan, at groupPlace) error {
+	m := mp.m
+	ch := m.chunks[at.chunk]
+	*p = groupPlan{colLo: ch.colLo, colHi: ch.colHi, packed: p.packed[:0],
+		outRows: make([]int, 0, at.gHi-at.gLo)}
+	for r := at.gLo; r < at.gHi; r++ {
+		p.outRows = append(p.outRows, r)
+	}
+	cols := p.colHi - p.colLo
+	p.layout = m.layoutFor(len(p.outRows), cols)
 	cell := m.cfg.Device.BitsPerCell
 
 	// Pack the lane operands per column.
-	packed := make([]core.Word, cols)
-	ops := make([]uint64, len(outRows))
+	mp.ops = slices.Grow(mp.ops[:0], len(p.outRows))[:len(p.outRows)]
 	for j := 0; j < cols; j++ {
-		for i, r := range outRows {
-			ops[i] = biased[r*m.inDim+colLo+j]
+		for i, r := range p.outRows {
+			mp.ops[i] = mp.biased[r*m.inDim+p.colLo+j]
 		}
-		w, err := layout.Pack(ops)
+		w, err := p.layout.Pack(mp.ops)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		packed[j] = w
+		p.packed = append(p.packed, w)
 	}
 
 	// Determine the check budget and row count.
 	var checkBits int
-	var code *core.Code
 	switch m.cfg.Scheme.Kind {
 	case KindNone:
 		checkBits = 0
 	case KindStatic:
-		c, err := staticCodeFor(staticCache, layout, cell, m.cfg.Scheme.B)
+		c, err := staticCodeFor(mp.staticCache, p.layout, cell, m.cfg.Scheme.B)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		code = c
+		p.code = c
 		checkBits = c.CheckBits()
 	case KindABN:
 		checkBits = m.cfg.Scheme.CheckBits
 	}
-	nRows := (groupDataBits(layout) + checkBits + cell - 1) / cell
+	p.nRows = (groupDataBits(p.layout) + checkBits + cell - 1) / cell
 
 	// Hard faults and the giant-RTN-prone population are properties of the
 	// physical cells, independent of the code eventually chosen; the
 	// characterization pass (Section V-B5) identifies both.
-	stuckCells := noise.InjectStuck(rng, nRows, cols, m.cfg.Device)
-	giantCells := noise.InjectGiantProne(rng, nRows, cols, m.cfg.Device)
+	p.stuck = noise.InjectStuck(mp.rng, p.nRows, cols, m.cfg.Device)
+	p.giant = noise.InjectGiantProne(mp.rng, p.nRows, cols, m.cfg.Device)
 
 	// Program-verify characterization: stuck cells discovered while
 	// writing the weights are compensated digitally by the ECU periphery
@@ -260,49 +332,109 @@ func (m *MappedMatrix) buildGroup(biased []uint64, outRows []int, colLo, colHi i
 	// has no error-handling periphery at all (the paper's premise), so it
 	// takes every fault raw.
 	if m.cfg.Scheme.Kind != KindNone {
-		unknown := stuckCells[:0:0]
-		for _, sc := range stuckCells {
-			if rng.Float64() >= m.cfg.Device.StuckCharacterizedFrac {
+		unknown := p.stuck[:0:0]
+		for _, sc := range p.stuck {
+			if mp.rng.Float64() >= m.cfg.Device.StuckCharacterizedFrac {
 				unknown = append(unknown, sc)
 			}
 		}
-		stuckCells = unknown
+		p.stuck = unknown
 	}
+	return nil
+}
 
-	if m.cfg.Scheme.Kind == KindABN {
-		code = m.searchABN(packed, stuckCells, giantCells, layout, nRows)
+// startSearch starts the A-search workers once per MapMatrix call, up to
+// GOMAXPROCS of them. Worker 0 is the calling goroutine; workers 1..n-1
+// wait for each window on their own feed, so a map starts the same
+// goroutines however many windows it runs.
+func (mp *mapPass) startSearch(groups int) {
+	if mp.m.cfg.Scheme.Kind != KindABN {
+		return
 	}
+	workers := max(1, min(groups, runtime.GOMAXPROCS(0)))
+	mp.searchers = make([]abnSearcher, workers)
+	mp.feeds = make([]chan []groupPlan, workers-1)
+	for i := range mp.feeds {
+		mp.feeds[i] = make(chan []groupPlan, 1)
+		mp.exited.Add(1)
+		go func(w int, feed <-chan []groupPlan) {
+			defer mp.exited.Done()
+			for batch := range feed {
+				mp.searchStride(w, batch)
+				mp.searched.Done()
+			}
+		}(i+1, mp.feeds[i])
+	}
+}
 
-	// Program the array with the final encoding.
+// stopSearch ends the workers startSearch started and waits for them to
+// return, so the next map reuses their goroutine records instead of racing
+// their exit and allocating new ones; at a given GOMAXPROCS a map then
+// allocates the same count every run.
+func (mp *mapPass) stopSearch() {
+	for _, feed := range mp.feeds {
+		close(feed)
+	}
+	mp.exited.Wait()
+}
+
+// searchAll runs the A search of every plan under an ABN scheme and
+// returns once all of them are done. The search is pure, so its results
+// do not depend on which worker ran it or when; the fixed stride also
+// fixes which groups grow each worker's buffers.
+func (mp *mapPass) searchAll(batch []groupPlan) {
+	if mp.m.cfg.Scheme.Kind != KindABN {
+		return
+	}
+	mp.searched.Add(len(mp.feeds))
+	for _, feed := range mp.feeds {
+		feed <- batch
+	}
+	mp.searchStride(0, batch)
+	mp.searched.Wait()
+}
+
+// searchStride runs worker w's share of a window: groups w, w+workers, ...
+func (mp *mapPass) searchStride(w int, batch []groupPlan) {
+	for i := w; i < len(batch); i += len(mp.searchers) {
+		batch[i].code = mp.searchers[w].search(mp.m, &batch[i])
+	}
+}
+
+// program runs a group's program phase: write the encoded operands into a
+// fresh array (drawing verify misses from the verify stream) and precompute
+// the read-time effect of its characterized faults.
+func (mp *mapPass) program(p *groupPlan) (*group, error) {
+	m := mp.m
+	cols := p.colHi - p.colLo
+	cell := m.cfg.Device.BitsPerCell
 	mult := uint64(1)
-	if code != nil {
-		mult = code.M()
+	if p.code != nil {
+		mult = p.code.M()
 	}
-	arr := crossbar.NewArrayWithSpares(nRows, cols, cell, m.cfg.SpareRows)
-	for j, w := range packed {
+	arr := crossbar.NewArrayWithSpares(p.nRows, cols, cell, m.cfg.SpareRows)
+	for j, w := range p.packed {
 		enc, ok := w.MulU64(mult)
 		if !ok {
 			return nil, fmt.Errorf("accel: encoding overflow in group")
 		}
 		if m.cfg.VerifyIters > 0 {
-			tally, err := arr.ProgramColumnVerify(j, enc, m.cfg.VerifyIters, m.pulseFail, vrng)
-			if err != nil {
+			if err := arr.ProgramColumnVerify(j, enc, m.cfg.VerifyIters, m.pulseFail, mp.vrng, &m.verify); err != nil {
 				return nil, err
 			}
-			m.verify.Merge(tally)
 		} else if err := arr.ProgramColumn(j, enc); err != nil {
 			return nil, err
 		}
 	}
 
-	rowWords := (nRows + 63) / 64
-	g := &group{arr: arr, code: code, layout: layout, outRows: outRows,
-		maxLane:      uint64(cols) * (uint64(1)<<layout.OperandBits - 1),
-		stuckRows:    make([][]stuckInfo, nRows),
-		giantRows:    make([][]giantInfo, nRows),
+	rowWords := (p.nRows + 63) / 64
+	g := &group{arr: arr, code: p.code, layout: p.layout, outRows: p.outRows,
+		maxLane:      uint64(cols) * (uint64(1)<<p.layout.OperandBits - 1),
+		stuckRows:    make([][]stuckInfo, p.nRows),
+		giantRows:    make([][]giantInfo, p.nRows),
 		stuckPresent: make([]uint64, rowWords),
 		giantPresent: make([]uint64, rowWords)}
-	for _, sc := range stuckCells {
+	for _, sc := range p.stuck {
 		delta := int(sc.Level) - int(arr.Level(sc.Row, sc.Col))
 		if delta == 0 {
 			continue
@@ -312,7 +444,7 @@ func (m *MappedMatrix) buildGroup(biased []uint64, outRows []int, colLo, colHi i
 		})
 		g.stuckPresent[sc.Row>>6] |= 1 << (uint(sc.Row) & 63)
 	}
-	for _, gc := range giantCells {
+	for _, gc := range p.giant {
 		mag := m.sampler.GiantMagnitude(int(arr.Level(gc.Row, gc.Col)))
 		if mag == 0 {
 			continue
@@ -328,13 +460,24 @@ func (m *MappedMatrix) buildGroup(biased []uint64, outRows []int, colLo, colHi i
 	return g, nil
 }
 
-// searchABN runs the per-array A search of Section V-B4: for each candidate
+// abnSearcher is one A-search worker's scratch, reused across candidate A
+// values and groups so the search allocates little beyond the tables it
+// builds.
+type abnSearcher struct {
+	hist     []int   // [row*numLevels+level] cell count under the candidate A
+	levels   []uint8 // [col*nRows+row] cell level under the candidate A
+	rowProbs []noise.StepProbs
+	mags     [][]float64        // per row: characterized giant magnitudes
+	extra    [][]core.ExtraStep // per row: registered extra steps
+	spec     core.DataAwareSpec
+}
+
+// search runs the per-array A search of Section V-B4: for each candidate
 // A the group is (virtually) encoded, the per-row worst-case error
 // probabilities derived from the resulting cell states, and the data-aware
-// table built; the A covering the most error probability wins.
-func (m *MappedMatrix) searchABN(packed []core.Word, stuckCells []noise.StuckCell,
-	giantCells []noise.GiantCell, layout core.GroupLayout, nRows int) *core.Code {
-
+// table built; the A covering the most error probability wins. It reads
+// the plan and the matrix's sampler and touches no RNG.
+func (s *abnSearcher) search(m *MappedMatrix, p *groupPlan) *core.Code {
 	b := m.cfg.Scheme.B
 	if b == 0 {
 		b = 1
@@ -347,56 +490,59 @@ func (m *MappedMatrix) searchABN(packed []core.Word, stuckCells []noise.StuckCel
 	}
 	cell := m.cfg.Device.BitsPerCell
 	numLevels := 1 << cell
+	nRows := p.nRows
+	s.hist = slices.Grow(s.hist[:0], nRows*numLevels)[:nRows*numLevels]
+	s.levels = slices.Grow(s.levels[:0], len(p.packed)*nRows)[:len(p.packed)*nRows]
+	s.rowProbs = slices.Grow(s.rowProbs[:0], nRows)[:nRows]
+	for len(s.mags) < nRows {
+		s.mags = append(s.mags, nil)
+		s.extra = append(s.extra, nil)
+	}
+	flicker := m.cfg.Device.GiantFlickerProb
 
 	var best *core.Code
 	bestCovered := -1.0
 	for _, a := range candidates {
-		spec := core.DataAwareSpec{}
 		// Virtual encode: per-row level histograms under this A.
-		hist := make([][]int, nRows)
-		levels := make([][]uint8, len(packed))
-		for r := range hist {
-			hist[r] = make([]int, numLevels)
-		}
+		clear(s.hist)
 		ok := true
-		for j, w := range packed {
+		for j, w := range p.packed {
 			enc, fits := w.MulU64(a * b)
 			if !fits {
 				ok = false
 				break
 			}
-			lv, err := crossbar.SliceLevels(enc, cell, nRows)
+			lv, err := crossbar.SliceLevelsInto(s.levels[j*nRows:(j+1)*nRows], enc, cell, nRows)
 			if err != nil {
 				ok = false
 				break
 			}
-			levels[j] = lv
 			for r, l := range lv {
-				hist[r][l]++
+				s.hist[r*numLevels+int(l)]++
 			}
 		}
 		if !ok {
 			continue
 		}
-		rowProbs := make([]noise.StepProbs, nRows)
 		for r := 0; r < nRows; r++ {
-			rowProbs[r] = m.sampler.PredictStepProbs(noise.WorstCaseRowCounts(hist[r]))
+			// Worst-case susceptibility (Section V-B5): every column
+			// active, so the active counts are the level histogram.
+			s.rowProbs[r] = m.sampler.PredictStepProbs(s.hist[r*numLevels : (r+1)*numLevels])
+			s.mags[r] = s.mags[r][:0]
+			s.extra[r] = s.extra[r][:0]
 		}
 		// Characterized giant-prone cells dominate the row susceptibility;
 		// their magnitudes depend on the levels this candidate A encodes.
 		// Small events blur across the +/-1 and +/-2 buckets; larger ones
 		// register their true rounded step so the table allocates the
 		// syndrome that actually occurs.
-		flicker := m.cfg.Device.GiantFlickerProb
-		magsByRow := make(map[int][]float64)
-		extraByRow := make(map[int][]core.ExtraStep)
-		for _, gc := range giantCells {
-			mag := m.sampler.GiantMagnitude(int(levels[gc.Col][gc.Row]))
+		for _, gc := range p.giant {
+			mag := m.sampler.GiantMagnitude(int(s.levels[gc.Col*nRows+gc.Row]))
 			if gc.Neg {
 				mag = -mag
 			}
 			if math.Abs(mag) < 2.5 {
-				rowProbs[gc.Row].AddDiscrete(mag, flicker*activeProb)
+				s.rowProbs[gc.Row].AddDiscrete(mag, flicker*activeProb)
 			} else {
 				// Large events quantize to their rounded step, but the
 				// residual read jitter occasionally lands one step away;
@@ -405,43 +551,45 @@ func (m *MappedMatrix) searchABN(packed []core.Word, stuckCells []noise.StuckCel
 					steps := int(math.Round(mag)) + d
 					w := stepBlurWeight(mag, steps)
 					if steps != 0 && w > 1e-4 {
-						extraByRow[gc.Row] = append(extraByRow[gc.Row],
+						s.extra[gc.Row] = append(s.extra[gc.Row],
 							core.ExtraStep{Steps: steps, P: flicker * activeProb * w})
 					}
 				}
 			}
-			magsByRow[gc.Row] = append(magsByRow[gc.Row], mag)
+			s.mags[gc.Row] = append(s.mags[gc.Row], mag)
 		}
-		for r, mags := range magsByRow {
-			// Rows hosting several prone cells can produce combined-step
-			// errors beyond the +/-2 buckets; register the pairwise sums.
-			p2 := flicker * activeProb * flicker * activeProb
+		// Rows hosting several prone cells can produce combined-step
+		// errors beyond the +/-2 buckets; register the pairwise sums.
+		p2 := flicker * activeProb * flicker * activeProb
+		for r, mags := range s.mags[:nRows] {
 			for i := 0; i < len(mags); i++ {
 				for j := i + 1; j < len(mags); j++ {
 					steps := int(math.Round(mags[i] + mags[j]))
 					if steps != 0 && steps != 1 && steps != -1 && steps != 2 && steps != -2 {
-						extraByRow[r] = append(extraByRow[r], core.ExtraStep{Steps: steps, P: p2})
+						s.extra[r] = append(s.extra[r], core.ExtraStep{Steps: steps, P: p2})
 					}
 				}
 			}
 		}
+		s.spec.Rows = s.spec.Rows[:0]
 		for r := 0; r < nRows; r++ {
-			spec.Rows = append(spec.Rows, core.RowErr{
+			s.spec.Rows = append(s.spec.Rows, core.RowErr{
 				BitOffset: r * cell,
-				StepProb:  rowProbs[r],
-				Extra:     extraByRow[r],
+				StepProb:  s.rowProbs[r],
+				Extra:     s.extra[r],
 			})
 		}
-		for _, sc := range stuckCells {
-			delta := int(sc.Level) - int(levels[sc.Col][sc.Row])
+		s.spec.Stuck = s.spec.Stuck[:0]
+		for _, sc := range p.stuck {
+			delta := int(sc.Level) - int(s.levels[sc.Col*nRows+sc.Row])
 			if delta == 0 {
 				continue
 			}
-			spec.Stuck = append(spec.Stuck, core.StuckErr{
+			s.spec.Stuck = append(s.spec.Stuck, core.StuckErr{
 				BitOffset: sc.Row * cell, Steps: delta, PActive: activeProb,
 			})
 		}
-		table := core.BuildDataAwareTable(a, b, spec)
+		table := core.BuildDataAwareTable(a, b, s.spec)
 		if table.CoveredProb() > bestCovered {
 			best = &core.Code{A: a, B: b, Table: table}
 			bestCovered = table.CoveredProb()

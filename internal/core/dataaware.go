@@ -155,18 +155,12 @@ func buildCandidates(spec DataAwareSpec, capacity int) []candidate {
 			qual = singleProbs[k]
 		}
 	}
-	addQualified := func(syn Syndrome, prob float64, stuck bool) {
-		if prob < qual {
-			return
-		}
-		add(syn, prob, stuck)
-	}
 
 	// Multi-row combinations over the most susceptible rows, single-step
 	// errors with every sign pattern.
 	idx := topRowIndices(spec.Rows, topRows)
 	if maxCombine >= 2 && len(idx) >= 2 {
-		combineRows(spec.Rows, idx, maxCombine, addQualified)
+		combineRows(spec.Rows, idx, maxCombine, qual, add)
 	}
 
 	// Stuck-at pairs: two faults in one group are regularly driven in the
@@ -251,13 +245,14 @@ func topRowIndices(rows []RowErr, n int) []int {
 }
 
 // combineRows enumerates 2..maxCombine row subsets of idx with every +/-1
-// sign pattern and emits the composed syndromes.
-func combineRows(rows []RowErr, idx []int, maxCombine int, add func(Syndrome, float64, bool)) {
+// sign pattern and emits the composed syndromes of the patterns at least as
+// probable as qual (which is never below probFloor).
+func combineRows(rows []RowErr, idx []int, maxCombine int, qual float64, add func(Syndrome, float64, bool)) {
 	var chosen []int
 	var rec func(start int)
 	rec = func(start int) {
 		if len(chosen) >= 2 {
-			emitSignPatterns(rows, chosen, add)
+			emitSignPatterns(rows, chosen, qual, add)
 		}
 		if len(chosen) == maxCombine {
 			return
@@ -271,27 +266,30 @@ func combineRows(rows []RowErr, idx []int, maxCombine int, add func(Syndrome, fl
 	rec(0)
 }
 
-func emitSignPatterns(rows []RowErr, chosen []int, add func(Syndrome, float64, bool)) {
+// emitSignPatterns scores every sign pattern of one row subset by
+// probability and composes the 256-bit syndrome only for the patterns that
+// reach qual. A pattern's probability does not depend on its syndrome, and
+// most multi-row patterns fall below qual, so this emits the same
+// candidates as composing every syndrome would, for a fraction of the work.
+func emitSignPatterns(rows []RowErr, chosen []int, qual float64, add func(Syndrome, float64, bool)) {
 	n := len(chosen)
 	for pattern := 0; pattern < 1<<n; pattern++ {
 		prob := 1.0
-		var syn Syndrome
 		for k, ri := range chosen {
-			signIdx := (pattern >> k) & 1 // 0 => +1 step, 1 => -1 step
-			p := rows[ri].StepProb[signIdx]
+			p := rows[ri].StepProb[(pattern>>k)&1] // bit 0 => +1 step, 1 => -1 step
 			if p <= 0 {
 				prob = 0
 				break
 			}
 			prob *= p
-			step := 1
-			if signIdx == 1 {
-				step = -1
-			}
-			syn = syn.AddTo(SyndromeFromSteps(step, rows[ri].BitOffset))
 		}
-		if prob < probFloor {
+		if prob < qual {
 			continue
+		}
+		var syn Syndrome
+		for k, ri := range chosen {
+			step := 1 - 2*((pattern>>k)&1)
+			syn = syn.AddTo(SyndromeFromSteps(step, rows[ri].BitOffset))
 		}
 		add(syn, prob, false)
 	}

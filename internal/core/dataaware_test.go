@@ -1,7 +1,10 @@
 package core
 
 import (
+	"math"
 	"math/rand/v2"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -323,5 +326,213 @@ func TestDataAwareInvariantsQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refBuildCandidates is the compose-then-filter candidate enumerator that
+// buildCandidates replaced: it builds the syndrome of every multi-row sign
+// pattern and only then drops the ones below the qualification threshold.
+// buildCandidates must reproduce its output element for element.
+func refBuildCandidates(spec DataAwareSpec, capacity int) []candidate {
+	maxCombine := spec.MaxCombine
+	if maxCombine <= 0 {
+		maxCombine = defaultMaxCombine
+	}
+	topRows := spec.TopRows
+	if topRows <= 0 {
+		topRows = defaultTopRows
+	}
+	var cands []candidate
+	add := func(syn Syndrome, prob float64, stuck bool) {
+		if prob < probFloor || syn.IsZero() {
+			return
+		}
+		cands = append(cands, candidate{syn: syn, prob: prob, score: scoreOf(prob, syn), stuck: stuck})
+	}
+	var singleProbs []float64
+	for _, r := range spec.Rows {
+		for i, p := range r.StepProb {
+			if p <= 0 {
+				continue
+			}
+			add(SyndromeFromSteps(stepForIndex(i), r.BitOffset), p, false)
+			singleProbs = append(singleProbs, p)
+		}
+		for _, ex := range r.Extra {
+			if ex.P <= 0 || ex.Steps == 0 {
+				continue
+			}
+			add(SyndromeFromSteps(ex.Steps, r.BitOffset), ex.P, false)
+			singleProbs = append(singleProbs, ex.P)
+		}
+	}
+	qual := probFloor
+	if len(singleProbs) > 0 && capacity > 0 {
+		sort.Sort(sort.Reverse(sort.Float64Slice(singleProbs)))
+		if k := min(capacity, len(singleProbs)) - 1; singleProbs[k] > qual {
+			qual = singleProbs[k]
+		}
+	}
+	idx := topRowIndices(spec.Rows, topRows)
+	if maxCombine >= 2 && len(idx) >= 2 {
+		var chosen []int
+		var rec func(start int)
+		rec = func(start int) {
+			if len(chosen) >= 2 {
+				for pattern := 0; pattern < 1<<len(chosen); pattern++ {
+					prob := 1.0
+					var syn Syndrome
+					for k, ri := range chosen {
+						signIdx := (pattern >> k) & 1
+						p := spec.Rows[ri].StepProb[signIdx]
+						if p <= 0 {
+							prob = 0
+							break
+						}
+						prob *= p
+						step := 1
+						if signIdx == 1 {
+							step = -1
+						}
+						syn = syn.AddTo(SyndromeFromSteps(step, spec.Rows[ri].BitOffset))
+					}
+					if prob < probFloor || prob < qual {
+						continue
+					}
+					add(syn, prob, false)
+				}
+			}
+			if len(chosen) == maxCombine {
+				return
+			}
+			for i := start; i < len(idx); i++ {
+				chosen = append(chosen, idx[i])
+				rec(i + 1)
+				chosen = chosen[:len(chosen)-1]
+			}
+		}
+		rec(0)
+	}
+	for i := range spec.Stuck {
+		a := spec.Stuck[i]
+		if a.Steps == 0 || a.PActive <= 0 {
+			continue
+		}
+		for j := i + 1; j < len(spec.Stuck); j++ {
+			bst := spec.Stuck[j]
+			if bst.Steps == 0 || bst.PActive <= 0 {
+				continue
+			}
+			add(SyndromeFromSteps(a.Steps, a.BitOffset).AddTo(SyndromeFromSteps(bst.Steps, bst.BitOffset)),
+				a.PActive*bst.PActive, true)
+		}
+	}
+	for _, st := range spec.Stuck {
+		if st.Steps == 0 || st.PActive <= 0 {
+			continue
+		}
+		base := SyndromeFromSteps(st.Steps, st.BitOffset)
+		add(base, st.PActive, true)
+		for _, r := range spec.Rows {
+			for i := 0; i < 2; i++ {
+				p := st.PActive * r.StepProb[i]
+				if p < probFloor {
+					continue
+				}
+				add(base.AddTo(SyndromeFromSteps(stepForIndex(i), r.BitOffset)), p, true)
+			}
+		}
+	}
+	sort.Slice(cands, func(i, j int) bool {
+		if cands[i].score != cands[j].score {
+			return cands[i].score > cands[j].score
+		}
+		c := cands[i].syn.Mag.Cmp(cands[j].syn.Mag)
+		if c != 0 {
+			return c < 0
+		}
+		return !cands[i].syn.Neg && cands[j].syn.Neg
+	})
+	return cands
+}
+
+// randomDataAwareSpec draws a susceptibility profile that exercises every
+// branch of the enumerator: rows with zero (or partly zero) probability,
+// Extra steps, stuck faults (including zero-step and inactive ones, and
+// pairs), and non-default TopRows/MaxCombine.
+func randomDataAwareSpec(rng *rand.Rand) DataAwareSpec {
+	cell := 1 + rng.IntN(3)
+	logU := func(lo, hi float64) float64 { return math.Pow(10, lo+(hi-lo)*rng.Float64()) }
+	var spec DataAwareSpec
+	for r := 0; r < 2+rng.IntN(50); r++ {
+		row := RowErr{BitOffset: r * cell}
+		switch rng.IntN(6) {
+		case 0: // clean row
+		case 1: // one-sided row
+			row.StepProb[rng.IntN(2)] = logU(-9, -1)
+		default:
+			for i := range row.StepProb {
+				if rng.IntN(5) > 0 {
+					row.StepProb[i] = logU(-10, -1.5) / float64(i+1)
+				}
+			}
+		}
+		for e := rng.IntN(4) - 1; e > 0; e-- {
+			steps := (3 + rng.IntN(6)) * (1 - 2*rng.IntN(2))
+			if rng.IntN(8) == 0 {
+				steps = 0
+			}
+			row.Extra = append(row.Extra, ExtraStep{Steps: steps, P: logU(-8, -2)})
+		}
+		spec.Rows = append(spec.Rows, row)
+	}
+	for s := rng.IntN(6) - 1; s > 0; s-- {
+		st := StuckErr{
+			BitOffset: rng.IntN(len(spec.Rows)) * cell,
+			Steps:     rng.IntN(7) - 3,
+			PActive:   0.5,
+		}
+		if rng.IntN(6) == 0 {
+			st.PActive = 0
+		}
+		spec.Stuck = append(spec.Stuck, st)
+	}
+	if rng.IntN(2) == 0 {
+		spec.TopRows = 1 + rng.IntN(16)
+	}
+	if rng.IntN(2) == 0 {
+		spec.MaxCombine = 1 + rng.IntN(5)
+	}
+	return spec
+}
+
+// TestBuildCandidatesMatchesComposeThenFilter is the differential test of
+// the probability-first enumerator against the reference that composes
+// every sign pattern's syndrome before filtering: identical candidate
+// slices, and identical tables for several A, over random specs.
+func TestBuildCandidatesMatchesComposeThenFilter(t *testing.T) {
+	rng := rand.New(rand.NewPCG(31, 32))
+	as := []uint64{5, 17, 101, 167, 337}
+	for trial := 0; trial < 240; trial++ {
+		spec := randomDataAwareSpec(rng)
+		for _, capacity := range []int{0, 4, 100, 336} {
+			got, want := buildCandidates(spec, capacity), refBuildCandidates(spec, capacity)
+			if len(got) != len(want) {
+				t.Fatalf("trial %d capacity %d: %d candidates, reference %d", trial, capacity, len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("trial %d capacity %d: candidate %d = %+v, reference %+v", trial, capacity, i, got[i], want[i])
+				}
+			}
+		}
+		for _, a := range as {
+			got := BuildDataAwareTable(a, 3, spec)
+			want := allocate(a, 3, refBuildCandidates(spec, int(a)-1), len(spec.Stuck) > 0)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d A=%d: table differs from the reference (covered %v vs %v)",
+					trial, a, got.CoveredProb(), want.CoveredProb())
+			}
+		}
 	}
 }

@@ -109,3 +109,24 @@ func FuzzDecode(f *testing.F) {
 		}
 	})
 }
+
+// FuzzExtractBits checks the limb-reading ExtractBits against the full-word
+// Rsh reference for arbitrary words, offsets (including past the Word) and
+// widths 1..64.
+func FuzzExtractBits(f *testing.F) {
+	f.Add(uint64(0), uint64(0), uint64(0), uint64(0), uint16(0), uint8(1))
+	f.Add(^uint64(0), uint64(1), uint64(2), uint64(3), uint16(60), uint8(8))
+	f.Add(uint64(0x0123456789abcdef), uint64(0xfedcba9876543210), uint64(7), ^uint64(0), uint16(127), uint8(64))
+	f.Add(uint64(5), uint64(6), uint64(7), uint64(0x8000000000000000), uint16(255), uint8(2))
+	f.Add(uint64(9), uint64(9), uint64(9), uint64(9), uint16(300), uint8(17))
+
+	f.Fuzz(func(t *testing.T, l0, l1, l2, l3 uint64, offset uint16, width uint8) {
+		w := Word{l0, l1, l2, l3}
+		wd := uint(width)%64 + 1
+		off := uint(offset)
+		got, want := w.ExtractBits(off, wd), extractBitsRef(w, off, wd)
+		if got != want {
+			t.Fatalf("%v.ExtractBits(%d,%d) = %#x, want %#x", w, off, wd, got, want)
+		}
+	})
+}

@@ -229,7 +229,9 @@ func (w Word) Rsh(n uint) Word {
 }
 
 // ExtractBits returns the width-bit field starting at bit offset as a uint64.
-// width must be at most 64.
+// width must be at most 64. It reads only the one or two limbs the field
+// spans, so bit slicing and lane unpacking cost O(1) per field; the result
+// equals the low width bits of w.Rsh(offset).
 func (w Word) ExtractBits(offset, width uint) uint64 {
 	if width == 0 {
 		return 0
@@ -237,8 +239,14 @@ func (w Word) ExtractBits(offset, width uint) uint64 {
 	if width > 64 {
 		panic("core: ExtractBits width exceeds 64")
 	}
-	s := w.Rsh(offset)
-	v := s[0]
+	if offset >= WordBits {
+		return 0
+	}
+	limb, off := offset/64, offset%64
+	v := w[limb] >> off
+	if off != 0 && limb+1 < wordLimbs {
+		v |= w[limb+1] << (64 - off)
+	}
 	if width < 64 {
 		v &= (uint64(1) << width) - 1
 	}

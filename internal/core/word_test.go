@@ -247,6 +247,41 @@ func TestWordExtractBits(t *testing.T) {
 	}
 }
 
+// extractBitsRef is the full-word-shift ExtractBits the limb-reading one
+// replaced: shift the whole Word right, keep the low width bits.
+func extractBitsRef(w Word, offset, width uint) uint64 {
+	v := w.Rsh(offset)[0]
+	if width < 64 {
+		v &= (uint64(1) << width) - 1
+	}
+	return v
+}
+
+// TestWordExtractBitsExhaustive pins the limb-reading ExtractBits to the
+// Rsh reference at every offset in [0, WordBits+8) and every width 1..64,
+// so limb-straddling fields, fields running off the top limb and offsets
+// past the Word (which must read 0) are all covered.
+func TestWordExtractBitsExhaustive(t *testing.T) {
+	r := rand.New(rand.NewPCG(23, 24))
+	words := []Word{{}, {^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)}}
+	for i := 0; i < 6; i++ {
+		words = append(words, randWord(r, 256))
+	}
+	for _, w := range words {
+		for off := uint(0); off < WordBits+8; off++ {
+			for width := uint(1); width <= 64; width++ {
+				got, want := w.ExtractBits(off, width), extractBitsRef(w, off, width)
+				if got != want {
+					t.Fatalf("%v.ExtractBits(%d,%d) = %#x, want %#x", w, off, width, got, want)
+				}
+				if off >= WordBits && got != 0 {
+					t.Fatalf("ExtractBits(%d,%d) past the Word = %#x, want 0", off, width, got)
+				}
+			}
+		}
+	}
+}
+
 func TestWordExtractBitsWidthZero(t *testing.T) {
 	if got := WordFromU64(255).ExtractBits(0, 0); got != 0 {
 		t.Fatalf("width 0 must return 0, got %d", got)

@@ -105,14 +105,22 @@ func NewArrayWithSpares(rows, cols, bitsPerCell, spares int) *Array {
 		levelList: make([][]uint8, phys),
 		rowMap:    make([]int, rows),
 	}
+	// Each word line's slices are full-capacity windows of four per-row
+	// slabs (cells, mask headers, mask words, histogram) instead of 2k+3
+	// separate allocations; per-row slabs keep each allocation on a small
+	// size class, so they waste no heap to rounding.
 	for p := 0; p < phys; p++ {
-		a.levels[p] = make([]uint8, cols)
-		a.eff[p] = make([]uint8, cols)
-		a.masks[p] = make([][]uint64, k)
-		a.pmasks[p] = make([][]uint64, k)
+		cells := make([]uint8, 2*cols)
+		a.levels[p] = cells[:cols:cols]
+		a.eff[p] = cells[cols:]
+		hdrs := make([][]uint64, 2*k)
+		a.masks[p] = hdrs[:k:k]
+		a.pmasks[p] = hdrs[k:]
+		maskWords := make([]uint64, 2*(k-1)*words)
 		for l := 1; l < k; l++ {
-			a.masks[p][l] = make([]uint64, words)
-			a.pmasks[p][l] = make([]uint64, words)
+			o := 2 * (l - 1) * words
+			a.masks[p][l] = maskWords[o : o+words : o+words]
+			a.pmasks[p][l] = maskWords[o+words : o+2*words : o+2*words]
 		}
 		a.hist[p] = make([]int, k)
 		a.hist[p][0] = cols
@@ -165,12 +173,12 @@ func (a *Array) Set(r, c int, level uint8) {
 // setCellPhys records the programmed target and, unless the cell is pinned
 // by a stuck-at fault, moves the effective level to it.
 func (a *Array) setCellPhys(p, c int, level uint8) {
-	a.adjustDrift(p, c, func() {
-		a.setProg(p, c, level)
-		if _, pinned := a.stuck[p*a.Cols+c]; !pinned {
-			a.setEff(p, c, level)
-		}
-	})
+	before := a.cellDrifted(p, c)
+	a.setProg(p, c, level)
+	if _, pinned := a.stuck[p*a.Cols+c]; !pinned {
+		a.setEff(p, c, level)
+	}
+	a.drifted += a.cellDrifted(p, c) - before
 }
 
 // setProg records the programmed target of physical cell (p, c),
@@ -597,15 +605,16 @@ func (a *Array) programVerifyPhys(p, c int, level uint8, maxIters int, pulseFail
 	if maxIters < 1 {
 		maxIters = 1
 	}
+	// Pulse: even when the analog landing misses the verify tolerance the
+	// cell holds the target's discrete level, so the digital state after a
+	// verified program equals the blind-write state — the rng only decides
+	// how many pulses that took. Re-pulses rewrite the same level, so the
+	// state is written once.
+	a.setCellPhys(p, c, level)
+	if a.eff[p][c] != level {
+		return maxIters, false // pinned off-target: pulses cannot move it
+	}
 	for iter := 1; iter <= maxIters; iter++ {
-		// Pulse: even when the analog landing misses the verify tolerance
-		// the cell holds the target's discrete level, so the digital state
-		// after a verified program equals the blind-write state — the rng
-		// only decides how many pulses that took.
-		a.setCellPhys(p, c, level)
-		if a.eff[p][c] != level {
-			continue // pinned off-target: pulses cannot move it
-		}
 		if pulseFail != nil && rng != nil {
 			if pf := pulseFail[level]; pf > 0 && rng.Float64() < pf {
 				continue // analog landing outside tolerance: re-pulse
@@ -618,18 +627,16 @@ func (a *Array) programVerifyPhys(p, c int, level uint8, maxIters int, pulseFail
 
 // ProgramColumnVerify writes the bit slices of an encoded word down column
 // col through the closed-loop verify path, one slice per logical row
-// starting at row 0, and returns the per-cell accounting.
-func (a *Array) ProgramColumnVerify(col int, w core.Word, maxIters int, pulseFail []float64, rng *rand.Rand) (VerifyTally, error) {
-	var tally VerifyTally
-	lv, err := SliceLevels(w, a.BitsPerCell, a.Rows)
-	if err != nil {
-		return tally, err
+// starting at row 0, folding the per-cell accounting into tally.
+func (a *Array) ProgramColumnVerify(col int, w core.Word, maxIters int, pulseFail []float64, rng *rand.Rand, tally *VerifyTally) error {
+	if err := checkSliceRows(w, a.BitsPerCell, a.Rows); err != nil {
+		return err
 	}
-	for r, l := range lv {
-		pulses, ok := a.ProgramVerify(r, col, l, maxIters, pulseFail, rng)
+	for r := 0; r < a.Rows; r++ {
+		pulses, ok := a.ProgramVerify(r, col, sliceLevel(w, a.BitsPerCell, r), maxIters, pulseFail, rng)
 		tally.Note(pulses, ok)
 	}
-	return tally, nil
+	return nil
 }
 
 // SpareRowsFree returns how many spare word lines remain available.
@@ -670,30 +677,46 @@ func (a *Array) SpareRow(r int, maxIters int, pulseFail []float64, rng *rand.Ran
 	return tally, true
 }
 
-// SliceLevels splits an encoded word into per-row cell levels, least
-// significant slice first (Figure 2). nRows must cover the word's bit
-// length.
-func SliceLevels(w core.Word, bitsPerCell, nRows int) ([]uint8, error) {
+// SliceLevelsInto splits an encoded word into per-row cell levels, least
+// significant slice first (Figure 2), writing into dst and reusing its
+// backing array when it holds nRows levels (a nil dst allocates). nRows
+// must cover the word's bit length.
+func SliceLevelsInto(dst []uint8, w core.Word, bitsPerCell, nRows int) ([]uint8, error) {
+	if err := checkSliceRows(w, bitsPerCell, nRows); err != nil {
+		return nil, err
+	}
+	if cap(dst) < nRows {
+		dst = make([]uint8, nRows)
+	}
+	dst = dst[:nRows]
+	for r := range dst {
+		dst[r] = sliceLevel(w, bitsPerCell, r)
+	}
+	return dst, nil
+}
+
+// checkSliceRows reports an error when nRows slices cannot hold w.
+func checkSliceRows(w core.Word, bitsPerCell, nRows int) error {
 	if need := (w.BitLen() + bitsPerCell - 1) / bitsPerCell; need > nRows {
-		return nil, fmt.Errorf("crossbar: %d-bit word needs %d slices, only %d rows", w.BitLen(), need, nRows)
+		return fmt.Errorf("crossbar: %d-bit word needs %d slices, only %d rows", w.BitLen(), need, nRows)
 	}
-	out := make([]uint8, nRows)
-	for r := 0; r < nRows; r++ {
-		out[r] = uint8(w.ExtractBits(uint(r*bitsPerCell), uint(bitsPerCell)))
-	}
-	return out, nil
+	return nil
+}
+
+// sliceLevel is row r's cell level of the bit-sliced word w.
+func sliceLevel(w core.Word, bitsPerCell, r int) uint8 {
+	return uint8(w.ExtractBits(uint(r*bitsPerCell), uint(bitsPerCell)))
 }
 
 // ProgramColumn writes the bit slices of an encoded word down column col,
 // one slice per logical row starting at row 0, with blind (single-pulse,
 // unverified) writes.
 func (a *Array) ProgramColumn(col int, w core.Word) error {
-	lv, err := SliceLevels(w, a.BitsPerCell, a.Rows)
-	if err != nil {
+	if err := checkSliceRows(w, a.BitsPerCell, a.Rows); err != nil {
 		return err
 	}
-	for r, l := range lv {
-		a.Set(r, col, l)
+	for r := 0; r < a.Rows; r++ {
+		a.Set(r, col, sliceLevel(w, a.BitsPerCell, r))
 	}
 	return nil
 }

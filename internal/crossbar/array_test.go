@@ -110,7 +110,7 @@ func TestMaxOutput(t *testing.T) {
 func TestSliceLevels(t *testing.T) {
 	// Figure 2's example in miniature: value with known bit pattern.
 	w := core.WordFromU64(0b11_01_00_10)
-	lv, err := SliceLevels(w, 2, 4)
+	lv, err := SliceLevelsInto(nil, w, 2, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,8 +123,37 @@ func TestSliceLevels(t *testing.T) {
 }
 
 func TestSliceLevelsTooFewRows(t *testing.T) {
-	if _, err := SliceLevels(core.Pow2Word(10), 2, 5); err == nil {
+	if _, err := SliceLevelsInto(nil, core.Pow2Word(10), 2, 5); err == nil {
 		t.Fatal("expected error: 11-bit word needs 6 rows at 2b")
+	}
+}
+
+// TestSliceLevelsIntoReusesBuffer checks that slicing into a dirty buffer
+// with room reuses its backing array and overwrites every level, rows past
+// the word included (they read 0), for every cell width.
+func TestSliceLevelsIntoReusesBuffer(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 8))
+	buf := make([]uint8, 300)
+	for bpc := 1; bpc <= 8; bpc++ {
+		for trial := 0; trial < 20; trial++ {
+			w := core.Word{rng.Uint64(), rng.Uint64(), rng.Uint64(), rng.Uint64()}
+			nRows := (core.WordBits+bpc-1)/bpc + trial%3
+			for i := range buf {
+				buf[i] = 0xff
+			}
+			lv, err := SliceLevelsInto(buf[:0], w, bpc, nRows)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(lv) != nRows || &lv[0] != &buf[0] {
+				t.Fatalf("bpc=%d: %d levels in a new array, want %d in buf", bpc, len(lv), nRows)
+			}
+			for r, l := range lv {
+				if want := uint8(w.ExtractBits(uint(r*bpc), uint(bpc))); l != want {
+					t.Fatalf("bpc=%d row %d: level %d, want %d", bpc, r, l, want)
+				}
+			}
+		}
 	}
 }
 
@@ -139,7 +168,7 @@ func TestSliceReduceRoundTrip(t *testing.T) {
 				w[i] = rng.Uint64()
 			}
 			nRows := (w.BitLen() + bpc - 1) / bpc
-			lv, err := SliceLevels(w, bpc, nRows)
+			lv, err := SliceLevelsInto(nil, w, bpc, nRows)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -590,15 +590,6 @@ func (s *RowSampler) StepDistribution(agg RowAgg, maxStep int, out []float64) []
 	return out
 }
 
-// WorstCaseRowCounts returns the all-ones-input cell population of a row
-// given its programmed level histogram — the worst-case susceptibility the
-// paper uses for syndrome allocation (every cell active).
-func WorstCaseRowCounts(levelHistogram []int) []int {
-	out := make([]int, len(levelHistogram))
-	copy(out, levelHistogram)
-	return out
-}
-
 // discreteJitter is the assumed residual Gaussian jitter (in steps) used to
 // blur a discrete error magnitude across the quantization boundaries when
 // ranking syndromes: a 1.3-step event sometimes quantizes to 2, and a

@@ -194,18 +194,6 @@ func TestStepProbsTotal(t *testing.T) {
 	}
 }
 
-func TestWorstCaseRowCounts(t *testing.T) {
-	h := []int{5, 3, 2, 1}
-	w := WorstCaseRowCounts(h)
-	if len(w) != 4 || w[0] != 5 || w[3] != 1 {
-		t.Fatalf("WorstCaseRowCounts = %v", w)
-	}
-	w[0] = 99
-	if h[0] != 5 {
-		t.Fatal("must copy, not alias")
-	}
-}
-
 func TestInjectStuckRate(t *testing.T) {
 	p := DefaultDeviceParams()
 	p.FailureRate = 0.01

@@ -101,10 +101,10 @@ type (
 )
 
 var (
-	NewArray    = crossbar.NewArray
-	SliceLevels = crossbar.SliceLevels
-	ReduceRows  = crossbar.ReduceRows
-	InputMasks  = crossbar.InputMasks
+	NewArray        = crossbar.NewArray
+	SliceLevelsInto = crossbar.SliceLevelsInto
+	ReduceRows      = crossbar.ReduceRows
+	InputMasks      = crossbar.InputMasks
 )
 
 // Accelerator layer.
