@@ -138,6 +138,51 @@ func BenchmarkNoisyMVMABN9(b *testing.B) {
 	}
 }
 
+// BenchmarkLayerMVM times one warm serial MVM of a single layer at its
+// real shape with seeded random weights. MLP1.L1 (784x500) is 441 coded
+// groups under ABN-9, wide enough for the precompute pipeline; the 8x112
+// NoisyMVM benches are a single group and never reach it.
+func BenchmarkLayerMVM(b *testing.B) {
+	for _, layer := range []struct {
+		name    string
+		out, in int
+	}{{"MLP1.L1", 500, 784}} {
+		for _, s := range []accel.Scheme{accel.SchemeNoECC(), accel.SchemeABN(9)} {
+			b.Run(fmt.Sprintf("layer=%s/scheme=%s", layer.name, s.Name), func(b *testing.B) {
+				rng := rand.New(rand.NewPCG(15, 15))
+				W := make([]float64, layer.out*layer.in)
+				for i := range W {
+					W[i] = rng.NormFloat64() * 0.05
+				}
+				cfg := accel.DefaultConfig(s)
+				cfg.Device.BitsPerCell = 2
+				cfg.Device.FailureRate = 0.001
+				m, err := accel.MapMatrix(cfg, layer.out, layer.in,
+					func(r, c int) float64 { return W[r*layer.in+c] }, 3)
+				if err != nil {
+					b.Fatal(err)
+				}
+				x := make([]float64, layer.in)
+				for i := range x {
+					if rng.IntN(4) == 0 { // digit images are mostly dark
+						x[i] = rng.Float64()
+					}
+				}
+				scr := accel.NewScratch()
+				frng := stats.NewFast(1)
+				var st accel.Stats
+				out := make([]float64, layer.out)
+				m.MVMInto(out, x, frng, scr, &st) // warm the arena and the binomial tables
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					m.MVMInto(out, x, frng, scr, &st)
+				}
+			})
+		}
+	}
+}
+
 func BenchmarkMapMatrixABN9(b *testing.B) {
 	rng := rand.New(rand.NewPCG(1, 2))
 	W := make([]float64, 8*112)

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math/rand/v2"
 
-	"repro/internal/crossbar"
-	"repro/internal/fixed"
 	"repro/internal/nn"
 	"repro/internal/noise"
 	"repro/internal/stats"
@@ -13,15 +11,15 @@ import (
 
 // batchKernel is the scratch shared across the images of one batched MVM:
 // the flat level-major count buffer and accumulators of the fused
-// multi-image bit-plane kernel, plus small per-image gather slices. One
-// batchKernel belongs to one Session (coordinator goroutine); the per-image
-// state lives in ordinary per-lane Scratch arenas.
+// multi-image bit-plane kernel, a small per-image gather slice, and the
+// MVM's binomial table snapshot. One batchKernel belongs to one Session
+// (coordinator goroutine); the per-image state lives in ordinary per-lane
+// Scratch arenas.
 type batchKernel struct {
 	counts []int
 	accs   []noise.AggAccum
 	sets   [][][]uint64
-	scales []float64
-	vsums  []int64
+	sn     stats.BinomSnapshot
 }
 
 func (k *batchKernel) countsFor(n int) []int {
@@ -45,36 +43,23 @@ func (k *batchKernel) setsFor(n int) [][][]uint64 {
 	return k.sets[:n]
 }
 
-func (k *batchKernel) scalesFor(n int) []float64 {
-	if cap(k.scales) < n {
-		k.scales = make([]float64, n)
-	}
-	return k.scales[:n]
-}
-
-func (k *batchKernel) vsumsFor(n int) []int64 {
-	if cap(k.vsums) < n {
-		k.vsums = make([]int64, n)
-	}
-	return k.vsums[:n]
-}
-
-// precomputeBatch is group.precompute for B images at once: one walk of
-// each row's level list and fault-shaped masks feeds all B images' plane
-// aggregations (the masks differ per image; the level lists, per-level
-// noise terms, and CDF tables are shared). Each image's aggregates land in
-// its own Scratch arena exactly as the serial precompute would have left
-// them, bit for bit, so group.read runs unchanged on top.
-func (g *group) precomputeBatch(m *MappedMatrix, subs []*Scratch, kn *batchKernel) {
+// precomputeBatch is group.precompute for B images at once, over column
+// chunk c: one walk of each row's level list and fault-shaped masks feeds
+// all B images' plane aggregations (the masks differ per image; the level
+// lists, per-level noise terms, and CDF tables are shared). Each image's
+// row reads land in ring slot 0 of its own Scratch arena exactly as the
+// serial precompute would have left them, bit for bit, so group.read runs
+// unchanged on top.
+func (g *group) precomputeBatch(m *MappedMatrix, c int, subs []*Scratch, kn *batchKernel) {
 	rows := g.arr.Rows
-	planes := len(subs[0].masks)
+	planes := len(subs[0].masks[c])
 	stride := len(subs) * planes
 	counts := kn.countsFor(g.arr.NumLevels() * stride)
 	accs := kn.accsFor(stride)
 	sets := kn.setsFor(len(subs))
 	for i, sub := range subs {
-		sets[i] = sub.masks
-		sub.aggTsFor(planes * rows)
+		sets[i] = sub.masks[c]
+		sub.readsFor(0, planes*rows)
 	}
 	for r := 0; r < rows; r++ {
 		g.arr.ActiveCountsBatch(r, sets, counts)
@@ -82,10 +67,9 @@ func (g *group) precomputeBatch(m *MappedMatrix, subs []*Scratch, kn *batchKerne
 		m.sampler.AccumulateRowLevelsBatch(lv, counts, accs)
 		j := 0
 		for _, sub := range subs {
-			for b := 0; b < planes; b++ {
+			for b, mask := range sub.masks[c] {
 				agg, t := m.sampler.FinishAccum(&accs[j])
-				sub.aggs[b*rows+r] = agg
-				sub.ts[b*rows+r] = t
+				g.resolve(m, &kn.sn, r, mask, agg, t, &sub.slots[0][b*rows+r])
 				j++
 			}
 		}
@@ -110,61 +94,26 @@ func (m *MappedMatrix) MVMBatchInto(outs, xs [][]float64, rngs []*stats.FastRand
 			panic(fmt.Sprintf("accel: batch output %d length %d, want %d", i, len(outs[i]), m.outDim))
 		}
 	}
-	scales := kn.scalesFor(len(xs))
-	vsums := kn.vsumsFor(len(xs))
-	for i, x := range xs {
-		qx := fixed.QuantizeUnsignedInto(subs[i].qvals, x, m.cfg.InputBits)
-		subs[i].qvals = qx.Values
-		scales[i] = qx.Scale
+	for i, sub := range subs {
+		sub.loadInput(m, xs[i])
 	}
-	internalOut := m.outDim
-	if m.cfg.Encoding == EncodingDifferential {
-		internalOut = 2 * m.outDim
-	}
-	for _, sub := range subs {
-		sub.accFor(internalOut)
-	}
-	bsn := m.sampler.BinomSnapshot()
-	for _, ch := range m.chunks {
-		for i, sub := range subs {
-			vals := sub.qvals[ch.colLo:ch.colHi]
-			sub.masks = crossbar.InputMasksInto(sub.masks, vals, m.cfg.InputBits)
-			var vsum int64
-			for _, v := range vals {
-				vsum += int64(v)
-			}
-			vsums[i] = vsum
-		}
+	kn.sn = m.sampler.BinomSnapshot()
+	for c, ch := range m.chunks {
 		for _, g := range ch.groups {
-			g.precomputeBatch(m, subs, kn)
+			g.precomputeBatch(m, c, subs, kn)
 			for i, sub := range subs {
-				for b := range sub.masks {
-					lanes := g.read(m, sub, b, rngs[i], &bsn, sts[i])
-					for li, outRow := range g.outRows {
-						sub.acc[outRow] += int64(lanes[li]) << uint(b)
-					}
+				masks := sub.masks[c]
+				for b := range masks {
+					sub.accumulate(g, g.read(m, sub, sub.slots[0], masks, b, rngs[i], sts[i]), b)
 				}
 			}
 		}
-		if m.cfg.Encoding == EncodingOffsetBinary {
-			for i, sub := range subs {
-				bias := fixed.BiasCorrection(m.cfg.WeightBits, vsums[i])
-				for r := range sub.acc {
-					sub.acc[r] -= bias
-				}
-			}
+		for _, sub := range subs {
+			sub.endChunk(m, c)
 		}
 	}
 	for i, out := range outs {
-		f := m.scale * scales[i]
-		acc := subs[i].acc
-		for r := range out {
-			if m.cfg.Encoding == EncodingDifferential {
-				out[r] = float64(acc[2*r]-acc[2*r+1]) * f
-			} else {
-				out[r] = float64(acc[r]) * f
-			}
-		}
+		subs[i].dequantize(m, out)
 	}
 }
 
@@ -267,6 +216,8 @@ func (s *Session) ForwardBatch(xs []*nn.Tensor, streams []uint64) ([]*nn.Tensor,
 	for i, lane := range s.ba.lanesFor(s, len(xs)) {
 		stats.ReseedSub(lane.src, s.engine.cfg.Seed, streams[i])
 	}
+	s.scr.beginKernel()
+	defer s.scr.endKernel()
 	return s.fb.Run(xs, s.batchMVM)
 }
 
@@ -373,6 +324,8 @@ func (s *Session) MVMLayerBatch(layer int, idx []int, streams []uint64, xs [][]f
 		return
 	}
 	m := sl.m
+	s.scr.beginKernel()
+	defer s.scr.endKernel()
 	ba.vouts, ba.vrngs, ba.vsubs, ba.vsts, ba.pre = ba.vouts[:0], ba.vrngs[:0], ba.vsubs[:0], ba.vsts[:0], ba.pre[:0]
 	for j := range xs {
 		lane := ba.lanes[idx[j]]

@@ -65,9 +65,10 @@ func TestDebugGroupReadAccuracy(t *testing.T) {
 		wantLanes := g.layout.Unpack(q)
 
 		before := st
-		scr.masks = [][]uint64{mask}
-		g.precompute(m, scr)
-		lanes := g.read(m, scr, 0, srng, &bsn, &st)
+		masks := [][]uint64{mask}
+		reads := scr.readsFor(0, g.arr.Rows)
+		g.precompute(m, masks, &bsn, countsInto(&scr.counts, 1, g.arr.NumLevels()), reads)
+		lanes := g.read(m, scr, reads, masks, 0, srng, &st)
 		status := "clean"
 		if st.Corrected > before.Corrected {
 			status = "corrected"
@@ -186,9 +187,10 @@ func TestDebugTrainedLayerReads(t *testing.T) {
 				exact, _ := crossbar.ReduceRows(outs, cfg.Device.BitsPerCell)
 				q, _ := g.code.Decode(exact)
 				want := g.layout.Unpack(q)
-				scr.masks = [][]uint64{mask}
-				g.precompute(m, scr)
-				got := g.read(m, scr, 0, srng, &bsn, &st)
+				masks := [][]uint64{mask}
+				reads := scr.readsFor(0, g.arr.Rows)
+				g.precompute(m, masks, &bsn, countsInto(&scr.counts, 1, g.arr.NumLevels()), reads)
+				got := g.read(m, scr, reads, masks, 0, srng, &st)
 				totalReads++
 				for i := range got {
 					if got[i] != want[i] {

@@ -496,6 +496,8 @@ func (s *Session) DrainLayerStatsInto(out map[int]Stats) {
 
 // Forward runs one noisy inference pass.
 func (s *Session) Forward(x *nn.Tensor) *nn.Tensor {
+	s.scr.beginKernel()
+	defer s.scr.endKernel()
 	return s.net.ForwardWith(x, s.mvms)
 }
 

@@ -396,6 +396,8 @@ func (mp *mapPass) searchAll(batch []groupPlan) {
 
 // searchStride runs worker w's share of a window: groups w, w+workers, ...
 func (mp *mapPass) searchStride(w int, batch []groupPlan) {
+	kernelWorkers.Add(1)
+	defer kernelWorkers.Add(-1)
 	for i := w; i < len(batch); i += len(mp.searchers) {
 		batch[i].code = mp.searchers[w].search(mp.m, &batch[i])
 	}
@@ -640,39 +642,62 @@ func staticCodeFor(cache map[int]*core.Code, layout core.GroupLayout, cell int, 
 // only; nil in production).
 var debugReadHook func(g *group, raw, corrected core.Word, status core.Status)
 
+// rowRead is one (plane, row) read of a group with everything but its
+// noise draws resolved.
+type rowRead struct {
+	draw noise.RowDraw
+	// ideal is the noiseless ADC output sum(level*count).
+	ideal int32
+	// stuck is the summed deviation of the row's stuck cells on active
+	// columns.
+	stuck int32
+}
+
 // precompute runs the deterministic half of every row read of this group
-// for the current input masks: the fused per-plane active counts, their
-// noise aggregates, and the ideal ADC outputs, indexed plane*rows+row in
-// the scratch arena. It touches no RNG, so hoisting it out of the per-bit
-// read loop (and reusing it across ECU retry re-reads, which the old code
-// recomputed) cannot move a draw.
-func (g *group) precompute(m *MappedMatrix, scr *Scratch) {
+// for the given input masks: the fused per-plane active counts, their
+// noise aggregates resolved for the draw loop, the ideal ADC outputs, and
+// the stuck-cell deltas, into reads indexed plane*rows+row. counts is a
+// planes x levels work buffer. It touches no RNG, so running it ahead of
+// the draws (on another goroutine, even), and reusing it across ECU retry
+// re-reads, cannot move a draw.
+func (g *group) precompute(m *MappedMatrix, masks [][]uint64, sn *stats.BinomSnapshot, counts [][]int, reads []rowRead) {
 	rows := g.arr.Rows
-	planes := len(scr.masks)
-	counts := scr.countsFor(planes, g.arr.NumLevels())
-	aggs, ts := scr.aggTsFor(planes * rows)
 	for r := 0; r < rows; r++ {
-		g.arr.ActiveCountsMulti(r, scr.masks, counts)
+		g.arr.ActiveCountsMulti(r, masks, counts)
 		lv := g.arr.LevelList(r)
-		for b := 0; b < planes; b++ {
+		for b, mask := range masks {
 			agg, t := m.sampler.AggregateRowLevelsIdeal(lv, counts[b])
-			ts[b*rows+r] = t
-			aggs[b*rows+r] = agg
+			g.resolve(m, sn, r, mask, agg, t, &reads[b*rows+r])
 		}
 	}
 }
 
-// read performs one group read under input bit plane `bit` of the masks in
-// the scratch arena: per-row noisy ADC sampling, shift-and-add reduction,
-// ECU correction (with re-reads on detected-uncorrectable errors if
-// configured), decode, and lane split. precompute must have run for the
-// current masks. The returned lanes alias the arena and are valid until the
-// next read.
-func (g *group) read(m *MappedMatrix, scr *Scratch, bit int, rng *stats.FastRand, sn *stats.BinomSnapshot, st *Stats) []uint64 {
+// resolve fills one row read from its aggregate and ideal output under the
+// given plane mask.
+func (g *group) resolve(m *MappedMatrix, sn *stats.BinomSnapshot, r int, mask []uint64, agg noise.RowAgg, ideal int, rr *rowRead) {
+	stuck := 0
+	if g.stuckPresent[r>>6]>>(uint(r)&63)&1 != 0 {
+		for _, si := range g.stuckRows[r] {
+			if mask[si.word]>>si.bit&1 == 1 {
+				stuck += si.delta
+			}
+		}
+	}
+	*rr = rowRead{draw: m.sampler.PrepareDraw(sn, agg), ideal: int32(ideal), stuck: int32(stuck)}
+}
+
+// read performs one group read under input bit plane `bit` of masks:
+// per-row noisy ADC sampling, shift-and-add reduction, ECU correction (with
+// re-reads on detected-uncorrectable errors if configured), decode, and
+// lane split. reads must hold the group's precompute for the same masks.
+// The returned lanes alias the arena and are valid until the next read.
+func (g *group) read(m *MappedMatrix, scr *Scratch, reads []rowRead, masks [][]uint64, bit int, rng *stats.FastRand, st *Stats) []uint64 {
+	rows := g.arr.Rows
+	reads = reads[bit*rows : (bit+1)*rows]
 	var acc core.Word
 	var status core.Status
 	for attempt := 0; ; attempt++ {
-		acc = g.sampleRows(m, scr, bit, rng, sn, st)
+		acc = g.sampleRows(m, reads, masks[bit], rng, st)
 		if g.code == nil {
 			return g.layout.UnpackInto(scr.lanesFor(g.layout.Operands), acc)
 		}
@@ -720,21 +745,18 @@ func (g *group) read(m *MappedMatrix, scr *Scratch, bit int, rng *stats.FastRand
 }
 
 // sampleRows performs the per-row noisy ADC conversions of one group read
-// and reduces them with the shift-and-add tree. The deterministic
-// quantities come from precompute; only the noise draws happen here, in
-// exactly the historical order (binomial+Gaussian core, then giant
-// flickers, row-major).
-func (g *group) sampleRows(m *MappedMatrix, scr *Scratch, bit int, rng *stats.FastRand, sn *stats.BinomSnapshot, st *Stats) core.Word {
+// (one plane's reads) and reduces them with the shift-and-add tree. The
+// deterministic quantities come from precompute; only the noise draws
+// happen here, in exactly the historical order (binomial+Gaussian core,
+// then giant flickers, row-major).
+func (g *group) sampleRows(m *MappedMatrix, reads []rowRead, mask []uint64, rng *stats.FastRand, st *Stats) core.Word {
 	var acc core.Word
 	cell := g.arr.BitsPerCell
 	maxOut := g.arr.MaxOutput()
 	flicker := m.cfg.Device.GiantFlickerProb
-	mask := scr.masks[bit]
-	rows := g.arr.Rows
-	base := bit * rows
-	for r := 0; r < rows; r++ {
-		t := scr.ts[base+r]
-		dev := m.sampler.SampleAggFast(rng, sn, &scr.aggs[base+r])
+	for r := range reads {
+		rr := &reads[r]
+		dev := m.sampler.SampleDraw(rng, &rr.draw)
 		if g.giantPresent[r>>6]>>(uint(r)&63)&1 != 0 {
 			for _, gi := range g.giantRows[r] {
 				if mask[gi.word]>>gi.bit&1 == 1 && rng.Float64() < flicker {
@@ -742,14 +764,8 @@ func (g *group) sampleRows(m *MappedMatrix, scr *Scratch, bit int, rng *stats.Fa
 				}
 			}
 		}
-		s := t + int(math.Round(dev))
-		if g.stuckPresent[r>>6]>>(uint(r)&63)&1 != 0 {
-			for _, si := range g.stuckRows[r] {
-				if mask[si.word]>>si.bit&1 == 1 {
-					s += si.delta
-				}
-			}
-		}
+		ideal := int(rr.ideal)
+		s := ideal + int(math.Round(dev)) + int(rr.stuck)
 		if s < 0 {
 			s = 0
 		}
@@ -757,7 +773,7 @@ func (g *group) sampleRows(m *MappedMatrix, scr *Scratch, bit int, rng *stats.Fa
 			s = maxOut
 		}
 		st.RowReads++
-		if s != t {
+		if s != ideal {
 			st.RowErrors++
 		}
 		acc.AddShifted(uint64(s), uint(r*cell))
@@ -790,7 +806,10 @@ func (m *MappedMatrix) MVM(x []float64, rng *stats.FastRand, scr *Scratch, st *S
 }
 
 // MVMInto is MVM writing into out (len must be the output dimension). A
-// warm arena makes the whole call allocation-free.
+// warm arena makes the whole call allocation-free. While a core is idle,
+// a helper precomputes the groups ahead of the caller's draws (see
+// pipeline.go); the output, the stats and the rng's end state do not
+// depend on whether it does.
 func (m *MappedMatrix) MVMInto(out, x []float64, rng *stats.FastRand, scr *Scratch, st *Stats) {
 	if len(x) != m.inDim {
 		panic(fmt.Sprintf("accel: input length %d, want %d", len(x), m.inDim))
@@ -798,48 +817,26 @@ func (m *MappedMatrix) MVMInto(out, x []float64, rng *stats.FastRand, scr *Scrat
 	if len(out) != m.outDim {
 		panic(fmt.Sprintf("accel: output length %d, want %d", len(out), m.outDim))
 	}
-	qx := fixed.QuantizeUnsignedInto(scr.qvals, x, m.cfg.InputBits)
-	scr.qvals = qx.Values
-	internalOut := m.outDim
-	if m.cfg.Encoding == EncodingDifferential {
-		internalOut = 2 * m.outDim
-	}
-	acc := scr.accFor(internalOut)
-	sn := m.sampler.BinomSnapshot()
-	for _, ch := range m.chunks {
-		vals := qx.Values[ch.colLo:ch.colHi]
-		scr.masks = crossbar.InputMasksInto(scr.masks, vals, m.cfg.InputBits)
-		var vsum int64
-		for _, v := range vals {
-			vsum += int64(v)
-		}
+	scr.beginKernel()
+	defer scr.endKernel()
+	scr.loadInput(m, x)
+	scr.sn = m.sampler.BinomSnapshot()
+	scr.startPipeline(m)
+	defer scr.endPipeline()
+	gi := 0
+	for c, ch := range m.chunks {
+		masks := scr.masks[c]
 		for _, g := range ch.groups {
-			g.precompute(m, scr)
-			for b := range scr.masks {
-				lanes := g.read(m, scr, b, rng, &sn, st)
-				for i, outRow := range g.outRows {
-					acc[outRow] += int64(lanes[i]) << uint(b)
-				}
+			reads := scr.awaitGroup(gi)
+			for b := range masks {
+				scr.accumulate(g, g.read(m, scr, reads, masks, b, rng, st), b)
 			}
+			scr.releaseGroup(gi)
+			gi++
 		}
-		if m.cfg.Encoding == EncodingOffsetBinary {
-			// Offset-binary correction: subtract half * sum(inputs) from
-			// every internal row served by this chunk (Section VII-D
-			// negative-weight handling).
-			bias := fixed.BiasCorrection(m.cfg.WeightBits, vsum)
-			for r := range acc {
-				acc[r] -= bias
-			}
-		}
+		scr.endChunk(m, c)
 	}
-	f := m.scale * qx.Scale
-	for r := range out {
-		if m.cfg.Encoding == EncodingDifferential {
-			out[r] = float64(acc[2*r]-acc[2*r+1]) * f
-		} else {
-			out[r] = float64(acc[r]) * f
-		}
-	}
+	scr.dequantize(m, out)
 }
 
 // StorageOverhead returns the fraction of programmed cell bits that are
@@ -869,6 +866,14 @@ func (m *MappedMatrix) NumGroups() int {
 		n += len(ch.groups)
 	}
 	return n
+}
+
+// groupAt returns the i-th group in read order (chunk by chunk) and its
+// chunk index. Every chunk holds the same number of groups (one per
+// GroupOps internal output rows), so the position splits evenly.
+func (m *MappedMatrix) groupAt(i int) (*group, int) {
+	per := len(m.chunks[0].groups)
+	return m.chunks[i/per].groups[i%per], i / per
 }
 
 // Arrays returns every crossbar array backing this matrix, one per coded

@@ -16,18 +16,32 @@ import (
 // real patrol operations (ProgramVerify re-programming and SpareRow
 // sparing), and one flips the software fallback — all while several
 // Session.Forward streams serve live traffic. Under -race this fails on any
-// reader/mutator interleaving the per-layer RWMutex does not cover.
+// reader/mutator interleaving the per-layer RWMutex does not cover. The
+// first layer (300 inputs, 12 groups) is wide enough to pipeline, and the
+// helper is forced on, so precompute helpers run under the readers' locks
+// while the mutators wait to write.
 func TestRaceTrafficVsMutators(t *testing.T) {
 	rng := rand.New(rand.NewPCG(21, 21))
-	net := &nn.Network{Name: "race", InShape: []int{10},
-		Layers: []nn.Layer{nn.NewDense(10, 12, rng), &nn.ReLU{}, nn.NewDense(12, 4, rng)}}
+	net := &nn.Network{Name: "race", InShape: []int{300},
+		Layers: []nn.Layer{nn.NewDense(300, 32, rng), &nn.ReLU{}, nn.NewDense(32, 12, rng), &nn.ReLU{},
+			nn.NewDense(12, 4, rng)}}
 	cfg := quietConfig(SchemeABN(8), 2)
 	cfg.SpareRows = 8
 	eng, err := Map(net, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := nn.FromSlice([]float64{0.1, 0.9, 0.3, 0.5, 0.2, 0.7, 0.4, 0.8, 0.6, 0.05}, 10)
+	h := setPipeHook(t, pipeOn, 0)
+	defer func() {
+		if h.helped.Load() == 0 {
+			t.Error("no pipeline helper ran under the mutators")
+		}
+	}()
+	xs := make([]float64, 300)
+	for i := range xs {
+		xs[i] = float64((i*37)%100) / 100
+	}
+	x := nn.FromSlice(xs, 300)
 	layers := eng.Layers()
 
 	const iters = 25

@@ -1,6 +1,10 @@
 package accel
 
-import "repro/internal/noise"
+import (
+	"repro/internal/crossbar"
+	"repro/internal/fixed"
+	"repro/internal/stats"
+)
 
 // Scratch is the per-session arena of the noisy-MVM hot path: every buffer
 // MappedMatrix.MVM and group.read used to allocate per call lives here and
@@ -9,7 +13,8 @@ import "repro/internal/noise"
 // Ownership rules:
 //   - One Scratch belongs to exactly one evaluation goroutine (a Session
 //     owns one; so does each serving worker through its Session). It must
-//     never be shared across concurrent MVMs.
+//     never be shared across concurrent MVMs. The pipeline helper an MVM
+//     may borrow (see pipeline.go) works inside that MVM's call only.
 //   - Slices returned by MVM-internal paths (group lane reads, mask planes)
 //     alias the arena and are only valid until the next MVM touches it.
 //     The public MVM copies its result into a caller-owned slice; MVMInto
@@ -17,16 +22,24 @@ import "repro/internal/noise"
 //   - Buffers grow on demand and never shrink, so steady-state traffic over
 //     a fixed topology reaches a fixed point with no allocation at all.
 type Scratch struct {
-	// qvals backs the quantized input vector.
-	qvals []uint64
-	// masks are the input bit-plane masks (InputMasksInto reuse).
-	masks [][]uint64
-	// counts[b][level] is the fused ActiveCountsMulti output for plane b.
+	// qvals backs the quantized input vector; qscale is its scale.
+	qvals  []uint64
+	qscale float64
+	// masks[c] are the input bit-plane masks of column chunk c, and
+	// vsums[c] the sum of that chunk's quantized inputs.
+	masks [][][]uint64
+	vsums []int64
+	// counts[b][level] is the caller's fused ActiveCountsMulti output for
+	// plane b (a pipeline helper fills its own).
 	counts [][]int
-	// aggs and ts hold the current group's precomputed per-(plane, row)
-	// noise aggregates and ideal outputs, indexed plane*rows+row.
-	aggs []noise.RowAgg
-	ts   []int
+	// slots is the ring of precomputed groups: slots[g%pipeDepth] holds
+	// group g's row reads, indexed plane*rows+row.
+	slots [pipeDepth][]rowRead
+	// sn is the current MVM's view of the binomial table cache.
+	sn   stats.BinomSnapshot
+	pipe pipeline
+	// kernelDepth nests beginKernel calls on the owning goroutine.
+	kernelDepth int
 	// acc is the internal-output accumulator of the shift-and-add
 	// reduction across chunks and input bits.
 	acc []int64
@@ -43,47 +56,102 @@ type Scratch struct {
 // NewScratch returns an empty arena; buffers grow on first use.
 func NewScratch() *Scratch { return &Scratch{} }
 
-// accFor returns the zeroed internal accumulator sized for n outputs.
-func (s *Scratch) accFor(n int) []int64 {
-	if cap(s.acc) < n {
-		s.acc = make([]int64, n)
+// loadInput quantizes x and slices its bit planes per column chunk of m,
+// zeroing the accumulator for m's internal outputs.
+func (s *Scratch) loadInput(m *MappedMatrix, x []float64) {
+	qx := fixed.QuantizeUnsignedInto(s.qvals, x, m.cfg.InputBits)
+	s.qvals, s.qscale = qx.Values, qx.Scale
+	n := len(m.chunks)
+	if cap(s.masks) < n {
+		grown := make([][][]uint64, n)
+		copy(grown, s.masks[:cap(s.masks)])
+		s.masks = grown
 	}
-	s.acc = s.acc[:n]
-	for i := range s.acc {
-		s.acc[i] = 0
+	if cap(s.vsums) < n {
+		s.vsums = make([]int64, n)
 	}
-	return s.acc
-}
-
-// countsFor returns the planes x levels fused count matrix (contents stale;
-// ActiveCountsMulti zeroes what it uses).
-func (s *Scratch) countsFor(planes, levels int) [][]int {
-	if cap(s.counts) < planes {
-		grown := make([][]int, planes)
-		copy(grown, s.counts[:cap(s.counts)])
-		s.counts = grown
-	}
-	s.counts = s.counts[:planes]
-	for b := range s.counts {
-		if cap(s.counts[b]) < levels {
-			s.counts[b] = make([]int, levels)
+	s.masks, s.vsums = s.masks[:n], s.vsums[:n]
+	for c, ch := range m.chunks {
+		vals := qx.Values[ch.colLo:ch.colHi]
+		s.masks[c] = crossbar.InputMasksInto(s.masks[c], vals, m.cfg.InputBits)
+		var vsum int64
+		for _, v := range vals {
+			vsum += int64(v)
 		}
-		s.counts[b] = s.counts[b][:levels]
+		s.vsums[c] = vsum
 	}
-	return s.counts
+	internalOut := m.outDim
+	if m.cfg.Encoding == EncodingDifferential {
+		internalOut = 2 * m.outDim
+	}
+	if cap(s.acc) < internalOut {
+		s.acc = make([]int64, internalOut)
+	}
+	s.acc = s.acc[:internalOut]
+	clear(s.acc)
 }
 
-// aggTsFor returns the per-(plane, row) aggregate and ideal-output buffers
-// for one group (contents stale; precompute overwrites every entry).
-func (s *Scratch) aggTsFor(n int) ([]noise.RowAgg, []int) {
-	if cap(s.aggs) < n {
-		s.aggs = make([]noise.RowAgg, n)
+// accumulate adds one group read's lanes, read under input bit plane b, to
+// the internal outputs the group serves.
+func (s *Scratch) accumulate(g *group, lanes []uint64, b int) {
+	for i, outRow := range g.outRows {
+		s.acc[outRow] += int64(lanes[i]) << uint(b)
 	}
-	if cap(s.ts) < n {
-		s.ts = make([]int, n)
+}
+
+// endChunk applies chunk c's offset-binary correction: subtract half *
+// sum(inputs) from every internal row served by the chunk (Section VII-D
+// negative-weight handling).
+func (s *Scratch) endChunk(m *MappedMatrix, c int) {
+	if m.cfg.Encoding != EncodingOffsetBinary {
+		return
 	}
-	s.aggs, s.ts = s.aggs[:n], s.ts[:n]
-	return s.aggs, s.ts
+	bias := fixed.BiasCorrection(m.cfg.WeightBits, s.vsums[c])
+	for r := range s.acc {
+		s.acc[r] -= bias
+	}
+}
+
+// dequantize writes the accumulated outputs to out in float.
+func (s *Scratch) dequantize(m *MappedMatrix, out []float64) {
+	f := m.scale * s.qscale
+	for r := range out {
+		if m.cfg.Encoding == EncodingDifferential {
+			out[r] = float64(s.acc[2*r]-s.acc[2*r+1]) * f
+		} else {
+			out[r] = float64(s.acc[r]) * f
+		}
+	}
+}
+
+// countsInto sizes a planes x levels fused count matrix in *buf (contents
+// stale; ActiveCountsMulti zeroes what it uses).
+func countsInto(buf *[][]int, planes, levels int) [][]int {
+	c := *buf
+	if cap(c) < planes {
+		grown := make([][]int, planes)
+		copy(grown, c[:cap(c)])
+		c = grown
+	}
+	c = c[:planes]
+	for b := range c {
+		if cap(c[b]) < levels {
+			c[b] = make([]int, levels)
+		}
+		c[b] = c[b][:levels]
+	}
+	*buf = c
+	return c
+}
+
+// readsFor returns ring slot i sized for n row reads (contents stale; the
+// precompute overwrites every entry).
+func (s *Scratch) readsFor(i, n int) []rowRead {
+	if cap(s.slots[i]) < n {
+		s.slots[i] = make([]rowRead, n)
+	}
+	s.slots[i] = s.slots[i][:n]
+	return s.slots[i]
 }
 
 // lanesFor returns the lane buffer for n operands (contents stale).

@@ -389,21 +389,43 @@ func (s *RowSampler) SampleAgg(rng *rand.Rand, agg RowAgg) float64 {
 }
 
 // BinomSnapshot captures the RTN binomial sampler's table cache for a run
-// of SampleAggFast calls (one snapshot per MVM; see stats.BinomSnapshot).
+// of PrepareDraw calls (one snapshot per MVM; see stats.BinomSnapshot).
 func (s *RowSampler) BinomSnapshot() stats.BinomSnapshot { return s.binom.Snapshot() }
 
-// SampleAggFast is SampleAgg on the devirtualized hot-path RNG, bit-for-bit
-// and draw-for-draw identical to SampleAgg over the same PCG state. sn must
-// come from this sampler's BinomSnapshot.
-func (s *RowSampler) SampleAggFast(rng *stats.FastRand, sn *stats.BinomSnapshot, agg *RowAgg) float64 {
-	dev := agg.Resid
-	p := s.params.PRTN
-	if agg.N > 0 && agg.Sbar > 0 && p > 0 {
-		m := sn.Sample(rng, agg.N)
-		dev += (float64(m) - float64(agg.N)*p) * agg.Sbar * s.invSqrtK
+// RowDraw is a row read's noise model resolved for the draw loop: the
+// aggregate with its RTN population replaced by that population's binomial
+// sampling state. PrepareDraw touches no RNG, so it can run ahead of the
+// draws (on another goroutine, even); SampleDraw then only draws.
+type RowDraw struct {
+	// Resid, Sigma and Sbar are the aggregate's residual mean shift,
+	// Gaussian deviation, and mean RTN excess per active cell.
+	Resid, Sigma, Sbar float64
+	// Bin is the Binomial(N, PRTN) sampling state of the RTN population N,
+	// nil when the row makes no RTN draw.
+	Bin *stats.BinomTable
+}
+
+// PrepareDraw resolves an aggregate for SampleDraw. sn must come from this
+// sampler's BinomSnapshot.
+func (s *RowSampler) PrepareDraw(sn *stats.BinomSnapshot, agg RowAgg) RowDraw {
+	d := RowDraw{Resid: agg.Resid, Sigma: agg.Sigma, Sbar: agg.Sbar}
+	if agg.N > 0 && agg.Sbar > 0 && s.params.PRTN > 0 {
+		d.Bin = sn.Table(agg.N)
 	}
-	if agg.Sigma > 0 {
-		dev += rng.NormFloat64() * agg.Sigma
+	return d
+}
+
+// SampleDraw is SampleAgg on the devirtualized hot-path RNG over a prepared
+// draw: SampleDraw(rng, PrepareDraw(sn, agg)) is bit-for-bit and
+// draw-for-draw identical to SampleAgg(rng, agg) over the same PCG state.
+func (s *RowSampler) SampleDraw(rng *stats.FastRand, d *RowDraw) float64 {
+	dev := d.Resid
+	if d.Bin != nil {
+		m := d.Bin.Sample(rng)
+		dev += (float64(m) - float64(d.Bin.N())*s.params.PRTN) * d.Sbar * s.invSqrtK
+	}
+	if d.Sigma > 0 {
+		dev += rng.NormFloat64() * d.Sigma
 	}
 	return dev
 }

@@ -2,17 +2,19 @@ package stats
 
 import (
 	"math"
+	"math/bits"
 	"math/rand/v2"
 	"sync"
 	"sync/atomic"
 )
 
-// Binomial is a fixed-p binomial sampler that caches the per-n CDF tables
-// SampleBinomial's inversion path rebuilds on every call. The hot MVM loop
-// draws Binomial(n, PRTN) once per (row, input-bit) with p fixed for the
-// lifetime of the device model, so the pmf recurrence — dominated by a
-// math.Pow per draw — is pure rework; the cache amortizes it to a single
-// table build per distinct n.
+// Binomial is a fixed-p binomial sampler that caches the per-n state
+// SampleBinomial rebuilds on every call. The hot MVM loop draws
+// Binomial(n, PRTN) once per (row, input-bit) with p fixed for the lifetime
+// of the device model, so the regime choice, the normal approximation's
+// sigma, and the inversion path's pmf recurrence — dominated by a math.Pow
+// per draw — are pure rework; the cache amortizes them to one build per
+// distinct n.
 //
 // Sample is draw-for-draw identical to SampleBinomial(rng, n, p): the same
 // inputs consume the same number and kind of RNG variates and return the
@@ -28,22 +30,59 @@ type Binomial struct {
 	pEff float64 // min(p, 1-p): the p the tables are built for
 	refl bool    // p > 0.5: return n - k
 
-	mu     sync.Mutex
-	tables atomic.Pointer[[]*binomTable]
+	mu sync.Mutex
+	// tables[n] holds n's state once built. The slice grows tableBlock
+	// slots at a time and is republished only then, so a new n is one
+	// store into its slot, not a copy of the slice.
+	tables atomic.Pointer[[]atomic.Pointer[BinomTable]]
+	// slab hands out table structs a block at a time (guarded by mu).
+	slab []BinomTable
 }
 
-// binomTable is the cached inversion state for one n. Immutable once
-// published.
-type binomTable struct {
-	// bernoulli marks ns whose pmf head math.Pow(q, n) underflowed to 0;
-	// SampleBinomial falls back to counting n Bernoulli trials there, and
-	// the cached path must consume draws identically.
-	bernoulli bool
+// binomMode is a BinomTable's sampling regime.
+type binomMode uint8
+
+const (
+	// binomFixed returns k without drawing (n <= 0, p <= 0, or p >= 1).
+	binomFixed binomMode = iota
+	// binomNormal draws one NormFloat64 (np >= 12 and n >= 30).
+	binomNormal
+	// binomInvert inverts one Float64 through the cached CDF.
+	binomInvert
+	// binomBernoulli burns one Float64, then counts n Bernoulli trials:
+	// binomialInversion's fallback when its pmf head math.Pow(q, n)
+	// underflows to 0.
+	binomBernoulli
+)
+
+// BinomTable is the cached sampling state of one n: its regime and
+// everything the regime needs that depends on n alone. Immutable once
+// published, so a row read can resolve it ahead of its draw (even on
+// another goroutine) and sample from it later.
+type BinomTable struct {
+	n    int
+	mode binomMode
+	refl bool
+	k    int     // binomFixed: the value returned
+	pEff float64 // binomBernoulli: the trial probability
+	// np and sigma are the normal approximation's mean and deviation,
+	// float64(n)*pEff and math.Sqrt(np*(1-pEff)) — the exact expressions
+	// SampleBinomial evaluates per draw.
+	np, sigma float64
 	// cdf[k] = P(X <= k) accumulated with the exact binomialInversion
 	// recurrence (not the closed form), so inversion results match bit for
 	// bit. Non-decreasing; may plateau below 1 from float rounding.
 	cdf []float64
+	// guide[j] is the first k with cdf[k] >= j/len(guide) (len(cdf) if
+	// none): every u in [j/len(guide), (j+1)/len(guide)) lies above the
+	// cdf entries before it, so inversion can start there. len(guide) is a
+	// power of two, which makes u*len(guide) exact and the bucket of u
+	// exactly int(u*len(guide)).
+	guide []int32
 }
+
+// maxGuide bounds a table's guide length.
+const maxGuide = 1024
 
 // NewBinomial builds a sampler for the fixed success probability p.
 func NewBinomial(p float64) *Binomial {
@@ -67,65 +106,84 @@ func (b *Binomial) Sample(rng *rand.Rand, n int) int {
 	if b.p >= 1 {
 		return n
 	}
-	k := b.sampleEff(rng, n)
-	if b.refl {
+	t := b.table(n)
+	var k int
+	switch t.mode {
+	case binomNormal:
+		k = t.clamp(int(math.Round(t.np + t.sigma*rng.NormFloat64())))
+	case binomInvert:
+		k = t.invert(rng.Float64())
+	case binomBernoulli:
+		// binomialInversion draws u before it can detect pmf underflow, so
+		// the fallback burns one Float64 ahead of its n trial draws.
+		_ = rng.Float64()
+		for i := 0; i < n; i++ {
+			if rng.Float64() < t.pEff {
+				k++
+			}
+		}
+	}
+	if t.refl {
 		return n - k
 	}
 	return k
 }
 
-// sampleEff samples Binomial(n, pEff) with pEff <= 0.5.
-func (b *Binomial) sampleEff(rng *rand.Rand, n int) int {
-	np := float64(n) * b.pEff
-	if np >= 12 && n >= 30 {
-		sigma := math.Sqrt(np * (1 - b.pEff))
-		k := int(math.Round(np + sigma*rng.NormFloat64()))
-		if k < 0 {
-			k = 0
-		}
-		if k > n {
-			k = n
-		}
-		return k
-	}
-	return b.sampleTable(rng, n, b.table(n))
-}
-
-// sampleTable is the cached counterpart of binomialInversion.
-func (b *Binomial) sampleTable(rng *rand.Rand, n int, t *binomTable) int {
-	// binomialInversion draws u before it can detect pmf underflow, so the
-	// Bernoulli fallback burns one Float64 ahead of its n trial draws.
-	u := rng.Float64()
-	if t.bernoulli {
-		k := 0
-		for i := 0; i < n; i++ {
-			if rng.Float64() < b.pEff {
+// Sample draws from the table's Binomial(n, p), identically (value and RNG
+// consumption) to Binomial.Sample over the same rng state.
+func (t *BinomTable) Sample(rng *FastRand) int {
+	var k int
+	switch t.mode {
+	case binomFixed:
+		return t.k
+	case binomNormal:
+		k = t.clamp(int(math.Round(t.np + t.sigma*rng.NormFloat64())))
+	case binomInvert:
+		k = t.invert(rng.Float64())
+	case binomBernoulli:
+		_ = rng.Float64()
+		for i := 0; i < t.n; i++ {
+			if rng.Float64() < t.pEff {
 				k++
 			}
 		}
-		return k
 	}
-	// Inversion returns the first k with u <= cdf[k], capped at n. A
-	// sequential scan finds it in E[k]+1 ~ np+1 cache-friendly probes —
-	// cheaper than a binary search's scattered ones for the small np this
-	// regime implies (np >= 12 goes to the normal approximation instead).
-	for k, c := range t.cdf {
-		if u <= c {
+	if t.refl {
+		return t.n - k
+	}
+	return k
+}
+
+// N returns the table's trial count.
+func (t *BinomTable) N() int { return t.n }
+
+func (t *BinomTable) clamp(k int) int {
+	return max(0, min(k, t.n))
+}
+
+// invert returns the first k with u <= cdf[k], or n if the CDF plateaus
+// below u — binomialInversion's result for the same u. u must lie in
+// [0, 1). The guide skips every entry below u's bucket, and the scan from
+// there is the same comparison sequence the full scan would reach.
+func (t *BinomTable) invert(u float64) int {
+	for k := int(t.guide[int(u*float64(len(t.guide)))]); k < len(t.cdf); k++ {
+		if u <= t.cdf[k] {
 			return k
 		}
 	}
-	return n
+	return t.n
 }
 
 // BinomSnapshot is a per-call-site view of a Binomial's table cache for the
 // FastRand hot path: Snapshot loads the atomic table pointer once, so the
-// per-draw Sample skips the atomic load (and its branches) that
+// per-read Table skips the atomic load (and its branches) that
 // Binomial.Sample pays on every call. A snapshot taken before an MVM stays
 // valid forever — tables are immutable once published — and ns it predates
-// simply fall through to the locked builder.
+// simply fall through to the locked builder. A snapshot is read-only, so
+// several goroutines may resolve tables through one.
 type BinomSnapshot struct {
 	b      *Binomial
-	tables []*binomTable
+	tables []atomic.Pointer[BinomTable]
 }
 
 // Snapshot captures the current table cache. Cheap (one atomic load); take
@@ -138,93 +196,85 @@ func (b *Binomial) Snapshot() BinomSnapshot {
 	return sn
 }
 
-// Sample draws from Binomial(n, p) identically (value and RNG consumption)
-// to Binomial.Sample over the same rng state.
-func (sn *BinomSnapshot) Sample(rng *FastRand, n int) int {
-	b := sn.b
-	if n <= 0 || b.p <= 0 {
-		return 0
-	}
-	if b.p >= 1 {
-		return n
-	}
-	np := float64(n) * b.pEff
-	var k int
-	if np >= 12 && n >= 30 {
-		sigma := math.Sqrt(np * (1 - b.pEff))
-		k = int(math.Round(np + sigma*rng.NormFloat64()))
-		if k < 0 {
-			k = 0
+// Table returns the sampling state for n. It touches no RNG.
+func (sn *BinomSnapshot) Table(n int) *BinomTable {
+	if n >= 0 && n < len(sn.tables) {
+		if t := sn.tables[n].Load(); t != nil {
+			return t
 		}
-		if k > n {
-			k = n
-		}
-	} else {
-		t := (*binomTable)(nil)
-		if n < len(sn.tables) {
-			t = sn.tables[n]
-		}
-		if t == nil {
-			t = b.table(n)
-		}
-		k = sn.sampleTable(rng, n, t)
 	}
-	if b.refl {
-		return n - k
-	}
-	return k
+	return sn.b.table(n)
 }
 
-// sampleTable mirrors Binomial.sampleTable for the FastRand path.
-func (sn *BinomSnapshot) sampleTable(rng *FastRand, n int, t *binomTable) int {
-	u := rng.Float64()
-	if t.bernoulli {
-		k := 0
-		for i := 0; i < n; i++ {
-			if rng.Float64() < sn.b.pEff {
-				k++
-			}
-		}
-		return k
-	}
-	for k, c := range t.cdf {
-		if u <= c {
-			return k
-		}
-	}
-	return n
-}
+// tableBlock is how many slots one growth of the cache adds, and how many
+// table structs one slab holds.
+const tableBlock = 64
 
-// table returns the cached inversion table for n, building it on first use.
-func (b *Binomial) table(n int) *binomTable {
-	if p := b.tables.Load(); p != nil && n < len(*p) && (*p)[n] != nil {
-		return (*p)[n]
+// table returns the cached state for n, building it on first use.
+func (b *Binomial) table(n int) *BinomTable {
+	n = max(n, 0)
+	if p := b.tables.Load(); p != nil && n < len(*p) {
+		if t := (*p)[n].Load(); t != nil {
+			return t
+		}
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	var cur []*binomTable
+	var cur []atomic.Pointer[BinomTable]
 	if p := b.tables.Load(); p != nil {
 		cur = *p
 	}
-	if n < len(cur) && cur[n] != nil {
-		return cur[n]
+	if n < len(cur) {
+		if t := cur[n].Load(); t != nil {
+			return t
+		}
+	} else {
+		grown := make([]atomic.Pointer[BinomTable], max(n+1, len(cur)+tableBlock))
+		for i := range cur {
+			grown[i].Store(cur[i].Load())
+		}
+		b.tables.Store(&grown)
+		cur = grown
 	}
-	grown := make([]*binomTable, max(n+1, len(cur)))
-	copy(grown, cur)
-	t := buildBinomTable(n, b.pEff)
-	grown[n] = t
-	b.tables.Store(&grown)
+	if len(b.slab) == 0 {
+		b.slab = make([]BinomTable, tableBlock)
+	}
+	t := &b.slab[0]
+	b.slab = b.slab[1:]
+	b.build(t, n)
+	cur[n].Store(t)
 	return t
 }
 
+// build resolves n's regime with SampleBinomial's tests, in its order.
+func (b *Binomial) build(t *BinomTable, n int) {
+	*t = BinomTable{n: n, refl: b.refl, pEff: b.pEff}
+	switch {
+	case n == 0 || b.p <= 0:
+		t.mode, t.refl = binomFixed, false
+		return
+	case b.p >= 1:
+		t.mode, t.refl, t.k = binomFixed, false, n
+		return
+	}
+	np := float64(n) * b.pEff
+	if np >= 12 && n >= 30 {
+		t.mode, t.np, t.sigma = binomNormal, np, math.Sqrt(np*(1-b.pEff))
+		return
+	}
+	t.mode, t.cdf, t.guide = buildBinomTable(n, b.pEff)
+}
+
 // buildBinomTable accumulates the CDF with binomialInversion's exact float
-// sequence: pmf(0) = Pow(q, n), pmf(k+1) = pmf(k) * (n-k)/(k+1) * p/q.
-func buildBinomTable(n int, p float64) *binomTable {
+// sequence: pmf(0) = Pow(q, n), pmf(k+1) = pmf(k) * (n-k)/(k+1) * p/q, and
+// its guide. It returns binomBernoulli, and no table, when the pmf head
+// underflows.
+func buildBinomTable(n int, p float64) (binomMode, []float64, []int32) {
 	q := 1 - p
 	ratio := p / q
 	pmf := math.Pow(q, float64(n))
 	if pmf == 0 {
-		return &binomTable{bernoulli: true}
+		return binomBernoulli, nil, nil
 	}
 	cdf := make([]float64, n+1)
 	c := pmf
@@ -234,5 +284,16 @@ func buildBinomTable(n int, p float64) *binomTable {
 		c += pmf
 		cdf[k+1] = c
 	}
-	return &binomTable{cdf: cdf}
+	size := min(1<<bits.Len(uint(n)), maxGuide)
+	guide := make([]int32, size)
+	k := 0
+	for j := range guide {
+		// j/size is exact: size is a power of two.
+		lo := float64(j) / float64(size)
+		for k < len(cdf) && cdf[k] < lo {
+			k++
+		}
+		guide[j] = int32(k)
+	}
+	return binomInvert, cdf, guide
 }

@@ -35,7 +35,7 @@ func TestFastRandMatchesRand(t *testing.T) {
 	}
 }
 
-// TestBinomSnapshotMatchesSample: the snapshot fast path must sample
+// TestBinomSnapshotMatchesSample: the snapshot's tables must sample
 // identically to Binomial.Sample — same values, same RNG consumption — for
 // table, normal-approximation, reflection, and Bernoulli-fallback regimes.
 func TestBinomSnapshotMatchesSample(t *testing.T) {
@@ -49,7 +49,7 @@ func TestBinomSnapshotMatchesSample(t *testing.T) {
 		for i := 0; i < 3000; i++ {
 			n := i % 200
 			a := b.Sample(ref, n)
-			c := sn.Sample(fr, n)
+			c := sn.Table(n).Sample(fr)
 			if a != c {
 				t.Fatalf("p=%g n=%d draw %d: %d != %d", p, n, i, a, c)
 			}
@@ -59,7 +59,7 @@ func TestBinomSnapshotMatchesSample(t *testing.T) {
 		for i := 0; i < 3000; i++ {
 			n := i % 200
 			a := b.Sample(ref, n)
-			c := sn.Sample(fr, n)
+			c := sn.Table(n).Sample(fr)
 			if a != c {
 				t.Fatalf("warm p=%g n=%d draw %d: %d != %d", p, n, i, a, c)
 			}
