@@ -14,6 +14,7 @@ import (
 	"repro/internal/accel"
 	"repro/internal/circuit"
 	"repro/internal/core"
+	"repro/internal/crossbar"
 	"repro/internal/expt"
 	"repro/internal/fault"
 	"repro/internal/nn"
@@ -139,14 +140,15 @@ func BenchmarkNoisyMVMABN9(b *testing.B) {
 }
 
 // BenchmarkLayerMVM times one warm serial MVM of a single layer at its
-// real shape with seeded random weights. MLP1.L1 (784x500) is 441 coded
-// groups under ABN-9, wide enough for the precompute pipeline; the 8x112
-// NoisyMVM benches are a single group and never reach it.
+// real shape with seeded random weights: every MLP1 dense layer and CNN1's
+// second convolution viewed as OutC x PatchLen. MLP1.L1 (784x500) is 441
+// coded groups under ABN-9, wide enough for the precompute pipeline; the
+// 8x112 NoisyMVM benches are a single group and never reach it.
 func BenchmarkLayerMVM(b *testing.B) {
 	for _, layer := range []struct {
 		name    string
 		out, in int
-	}{{"MLP1.L1", 500, 784}} {
+	}{{"MLP1.L1", 500, 784}, {"MLP1.L3", 150, 500}, {"MLP1.L5", 10, 150}, {"CNN1.L3", 16, 150}} {
 		for _, s := range []accel.Scheme{accel.SchemeNoECC(), accel.SchemeABN(9)} {
 			b.Run(fmt.Sprintf("layer=%s/scheme=%s", layer.name, s.Name), func(b *testing.B) {
 				rng := rand.New(rand.NewPCG(15, 15))
@@ -182,6 +184,20 @@ func BenchmarkLayerMVM(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkNewArrayWithSpares allocates one MLP1/ABN-9-sized crossbar: 91
+// word lines plus 4 spares of 128 two-bit cells. Its allocs/op is the
+// array's object count, which the flat layout keeps constant in the row
+// count.
+func BenchmarkNewArrayWithSpares(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		arraySink = crossbar.NewArrayWithSpares(91, 128, 2, 4)
+	}
+}
+
+// arraySink keeps BenchmarkNewArrayWithSpares' allocation observable.
+var arraySink *crossbar.Array
 
 func BenchmarkMapMatrixABN9(b *testing.B) {
 	rng := rand.New(rand.NewPCG(1, 2))

@@ -34,13 +34,14 @@ func TestDebugGroupReadAccuracy(t *testing.T) {
 	g := m.chunks[0].groups[0]
 	t.Logf("A=%d B=%d tableLen=%d covered=%.4g rows=%d", g.code.A, g.code.B, g.code.Table.Len(), g.code.Table.CoveredProb(), g.arr.Rows)
 	hot := 0
-	for r, gs := range g.giantRows {
+	for r := 0; r < g.arr.Rows; r++ {
+		gs := g.giant.row(r)
 		if len(gs) > 0 {
 			t.Logf("hot row %d: %d prone cells (mag %v)", r, len(gs), gs[0].mag)
 			hot++
 		}
 	}
-	t.Logf("hot rows: %d; stuck rows: %d", hot, len(g.stuckRows))
+	t.Logf("hot rows: %d; stuck cells: %d", hot, len(g.stuck.ent))
 
 	srng := stats.NewFast(7)
 	bsn := m.sampler.BinomSnapshot()
@@ -228,8 +229,8 @@ func TestDebugTrainedLayerReads(t *testing.T) {
 		for _, g := range ch.groups {
 			if wrongByGroup[gi2] > 0 {
 				t.Logf("group %d: A=%d tab=%d cov=%.4g", gi2, g.code.A, g.code.Table.Len(), g.code.Table.CoveredProb())
-				for r, srs := range g.stuckRows {
-					for _, si := range srs {
+				for r := 0; r < g.arr.Rows; r++ {
+					for _, si := range g.stuck.row(r) {
 						syn := core.SyndromeFromSteps(si.delta, r*cfg.Device.BitsPerCell)
 						res := syn.Residue(g.code.A)
 						entry, ok := g.code.Table.Lookup(res)

@@ -54,15 +54,60 @@ type group struct {
 	// (columns * max operand); the ECU uses it as a plausibility bound to
 	// reject miscorrections that a blind table lookup would let through.
 	maxLane uint64
-	// stuckRows[r] lists the stuck cells of physical row r (usually nil).
-	stuckRows [][]stuckInfo
-	// giantRows[r] lists the giant-RTN-prone cells of physical row r.
-	giantRows [][]giantInfo
-	// stuckPresent and giantPresent are per-row presence bitsets (bit r set
-	// iff the row hosts any such cell), so the overwhelmingly clean rows
-	// skip the fault scans with one word test.
-	stuckPresent []uint64
-	giantPresent []uint64
+	// stuck and giant list the stuck and giant-RTN-prone cells of each
+	// physical row; most rows host none.
+	stuck rowTable[stuckInfo]
+	giant rowTable[giantInfo]
+}
+
+// rowTable is a compressed-sparse-row list of per-row entries: row r's
+// entries are ent[off[r]:off[r+1]], in the order they were added. Two
+// pointer-free slabs replace a slice header per row, and a table without
+// entries holds nothing at all.
+type rowTable[T any] struct {
+	ent []T
+	off []int32
+}
+
+// row returns row r's entries (none when the table is empty).
+func (t *rowTable[T]) row(r int) []T {
+	if t.off == nil {
+		return nil
+	}
+	return t.ent[t.off[r]:t.off[r+1]]
+}
+
+// newRowTable builds a table over rows rows from n candidates: entry(i)
+// returns candidate i's row and value, and whether to keep it. Each row
+// keeps its candidates' order.
+func newRowTable[T any](rows, n int, entry func(i int) (int, T, bool)) rowTable[T] {
+	var t rowTable[T]
+	for i := 0; i < n; i++ {
+		if r, _, ok := entry(i); ok {
+			if t.off == nil {
+				t.off = make([]int32, rows+1)
+			}
+			t.off[r+1]++
+		}
+	}
+	if t.off == nil {
+		return t
+	}
+	for r := 1; r <= rows; r++ {
+		t.off[r] += t.off[r-1]
+	}
+	// Place each entry at its row's cursor; the cursors end one row ahead,
+	// so shifting them back by one row restores the offsets.
+	t.ent = make([]T, t.off[rows])
+	for i := 0; i < n; i++ {
+		if r, v, ok := entry(i); ok {
+			t.ent[t.off[r]] = v
+			t.off[r]++
+		}
+	}
+	copy(t.off[1:], t.off[:rows])
+	t.off[0] = 0
+	return t
 }
 
 // chunk is a column range of the weight matrix mapped onto one array
@@ -429,36 +474,21 @@ func (mp *mapPass) program(p *groupPlan) (*group, error) {
 		}
 	}
 
-	rowWords := (p.nRows + 63) / 64
 	g := &group{arr: arr, code: p.code, layout: p.layout, outRows: p.outRows,
-		maxLane:      uint64(cols) * (uint64(1)<<p.layout.OperandBits - 1),
-		stuckRows:    make([][]stuckInfo, p.nRows),
-		giantRows:    make([][]giantInfo, p.nRows),
-		stuckPresent: make([]uint64, rowWords),
-		giantPresent: make([]uint64, rowWords)}
-	for _, sc := range p.stuck {
+		maxLane: uint64(cols) * (uint64(1)<<p.layout.OperandBits - 1)}
+	g.stuck = newRowTable(p.nRows, len(p.stuck), func(i int) (int, stuckInfo, bool) {
+		sc := p.stuck[i]
 		delta := int(sc.Level) - int(arr.Level(sc.Row, sc.Col))
-		if delta == 0 {
-			continue
-		}
-		g.stuckRows[sc.Row] = append(g.stuckRows[sc.Row], stuckInfo{
-			word: sc.Col / 64, bit: uint(sc.Col % 64), delta: delta,
-		})
-		g.stuckPresent[sc.Row>>6] |= 1 << (uint(sc.Row) & 63)
-	}
-	for _, gc := range p.giant {
+		return sc.Row, stuckInfo{word: sc.Col / 64, bit: uint(sc.Col % 64), delta: delta}, delta != 0
+	})
+	g.giant = newRowTable(p.nRows, len(p.giant), func(i int) (int, giantInfo, bool) {
+		gc := p.giant[i]
 		mag := m.sampler.GiantMagnitude(int(arr.Level(gc.Row, gc.Col)))
-		if mag == 0 {
-			continue
-		}
 		if gc.Neg {
 			mag = -mag
 		}
-		g.giantRows[gc.Row] = append(g.giantRows[gc.Row], giantInfo{
-			word: gc.Col / 64, bit: uint(gc.Col % 64), mag: mag,
-		})
-		g.giantPresent[gc.Row>>6] |= 1 << (uint(gc.Row) & 63)
-	}
+		return gc.Row, giantInfo{word: gc.Col / 64, bit: uint(gc.Col % 64), mag: mag}, mag != 0
+	})
 	return g, nil
 }
 
@@ -676,11 +706,9 @@ func (g *group) precompute(m *MappedMatrix, masks [][]uint64, sn *stats.BinomSna
 // given plane mask.
 func (g *group) resolve(m *MappedMatrix, sn *stats.BinomSnapshot, r int, mask []uint64, agg noise.RowAgg, ideal int, rr *rowRead) {
 	stuck := 0
-	if g.stuckPresent[r>>6]>>(uint(r)&63)&1 != 0 {
-		for _, si := range g.stuckRows[r] {
-			if mask[si.word]>>si.bit&1 == 1 {
-				stuck += si.delta
-			}
+	for _, si := range g.stuck.row(r) {
+		if mask[si.word]>>si.bit&1 == 1 {
+			stuck += si.delta
 		}
 	}
 	*rr = rowRead{draw: m.sampler.PrepareDraw(sn, agg), ideal: int32(ideal), stuck: int32(stuck)}
@@ -757,11 +785,9 @@ func (g *group) sampleRows(m *MappedMatrix, reads []rowRead, mask []uint64, rng 
 	for r := range reads {
 		rr := &reads[r]
 		dev := m.sampler.SampleDraw(rng, &rr.draw)
-		if g.giantPresent[r>>6]>>(uint(r)&63)&1 != 0 {
-			for _, gi := range g.giantRows[r] {
-				if mask[gi.word]>>gi.bit&1 == 1 && rng.Float64() < flicker {
-					dev += gi.mag
-				}
+		for _, gi := range g.giant.row(r) {
+			if mask[gi.word]>>gi.bit&1 == 1 && rng.Float64() < flicker {
+				dev += gi.mag
 			}
 		}
 		ideal := int(rr.ideal)

@@ -33,6 +33,17 @@ type mappedLayerState struct {
 	PhysicalRows int
 }
 
+// perRow expands a row table to one entry list per row (nil when empty).
+func perRow[T any](t *rowTable[T], rows int) [][]T {
+	out := make([][]T, rows)
+	for r := range out {
+		if e := t.row(r); len(e) > 0 {
+			out[r] = e
+		}
+	}
+	return out
+}
+
 func captureMapping(t *testing.T, eng *Engine) []mappedLayerState {
 	t.Helper()
 	var out []mappedLayerState
@@ -41,7 +52,7 @@ func captureMapping(t *testing.T, eng *Engine) []mappedLayerState {
 		ls := mappedLayerState{Verify: m.VerifyStats(), PhysicalRows: m.PhysicalRows}
 		for _, ch := range m.chunks {
 			for _, g := range ch.groups {
-				gs := mappedGroupState{Array: g.arr.Snapshot(), StuckRows: g.stuckRows, GiantRows: g.giantRows,
+				gs := mappedGroupState{Array: g.arr.Snapshot(), StuckRows: perRow(&g.stuck, g.arr.Rows), GiantRows: perRow(&g.giant, g.arr.Rows),
 					OutRows: g.outRows, NumRows: g.arr.Rows, ChunkRange: [2]int{ch.colLo, ch.colHi}}
 				if g.code != nil {
 					gs.HasCode, gs.A, gs.B = true, g.code.A, g.code.B

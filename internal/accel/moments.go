@@ -285,6 +285,7 @@ func (m *MappedMatrix) Moments(alphas []float64) LayerMoments {
 		rowAnys   []float64
 		clsCache  []eventClass
 		clsSeen   []bool
+		hist      []int
 	)
 
 	for _, ch := range m.chunks {
@@ -328,7 +329,7 @@ func (m *MappedMatrix) Moments(alphas []float64) LayerMoments {
 				stArena = stArena[:0]
 				prodRowKeep, prodRowAny := 1.0, 1.0
 				for r := 0; r < rows; r++ {
-					hist := g.arr.Histogram(r)
+					hist = g.arr.HistogramInto(hist, r)
 					off := r * g.arr.BitsPerCell
 					agg, residSD := m.sampler.AggregateActivity(hist, alpha)
 					// Cheap reachability bound: if the whole deviation
@@ -380,32 +381,28 @@ func (m *MappedMatrix) Moments(alphas []float64) LayerMoments {
 							rowStates = rowStates[:ri.stateBase]
 						}
 					}
-					if g.giantPresent[r>>6]>>(uint(r)&63)&1 != 0 {
-						for _, gi := range g.giantRows[r] {
-							stp := int(math.Round(gi.mag))
-							if stp == 0 {
-								continue
-							}
-							p := alpha * flicker
-							cls := classify(r, stp, off)
-							src := source{pAny: p}
-							if cls.outcome == outcomeDetected {
-								src.pDet = p
-							}
-							events = append(events, event{p: p, src: len(sources), cls: cls})
-							sources = append(sources, src)
+					for _, gi := range g.giant.row(r) {
+						stp := int(math.Round(gi.mag))
+						if stp == 0 {
+							continue
 						}
+						p := alpha * flicker
+						cls := classify(r, stp, off)
+						src := source{pAny: p}
+						if cls.outcome == outcomeDetected {
+							src.pDet = p
+						}
+						events = append(events, event{p: p, src: len(sources), cls: cls})
+						sources = append(sources, src)
 					}
-					if g.stuckPresent[r>>6]>>(uint(r)&63)&1 != 0 {
-						for _, si := range g.stuckRows[r] {
-							cls := classify(r, si.delta, off)
-							src := source{pAny: alpha, persistent: true}
-							if cls.outcome == outcomeDetected {
-								src.pDet = alpha
-							}
-							events = append(events, event{p: alpha, persistent: true, src: len(sources), cls: cls})
-							sources = append(sources, src)
+					for _, si := range g.stuck.row(r) {
+						cls := classify(r, si.delta, off)
+						src := source{pAny: alpha, persistent: true}
+						if cls.outcome == outcomeDetected {
+							src.pDet = alpha
 						}
+						events = append(events, event{p: alpha, persistent: true, src: len(sources), cls: cls})
+						sources = append(sources, src)
 					}
 				}
 				if len(events) == 0 && len(rowInfos) == 0 {

@@ -38,28 +38,36 @@ const DefaultSize = 128
 // to physical ones, so after SpareRow retires a worn word line every
 // read-path query (ActiveCounts, IdealRowOutput, Level, ...) transparently
 // lands on the replacement.
+//
+// Every per-line structure lives in one flat, pointer-free slab per array
+// indexed by physical line, so an array is a fixed handful of heap objects
+// whatever its size and the garbage collector never scans its cells.
 type Array struct {
 	Rows, Cols, BitsPerCell int
 
-	words  int       // words per row mask
-	levels [][]uint8 // [phys][col] programmed level
-	eff    [][]uint8 // [phys][col] effective level a read observes
+	words int // words per row mask
+	// lineWords is the mask slab's stride per physical line:
+	// 2*(NumLevels-1)*words.
+	lineWords int
+	// cells holds each physical line's programmed levels followed by its
+	// effective levels: line p's cell c is programmed at cells[2*p*Cols+c]
+	// and effective at cells[(2*p+1)*Cols+c].
+	cells []uint8
+	// masks holds, per physical line, one words-long mask per nonzero
+	// effective level and then one per nonzero programmed level: bit c of
+	// the mask is set iff cell (p, c) sits at that level. Level 0 carries
+	// no signal and has no mask. The programmed masks let the scrub
+	// probe's expected-output query (ProgrammedRowOutput) walk words like
+	// the effective-level readers instead of scanning cells. A line's level
+	// histogram is the popcount of its effective masks, so none is stored.
+	masks []uint64
+	// present is a fixed-stride present-level table: slot p*NumLevels holds
+	// how many nonzero effective levels line p contains, and the following
+	// slots list them in ascending order, so per-row reads and aggregates
+	// iterate only levels that exist instead of all 2^BitsPerCell.
+	present []uint8
 	// stuck maps phys*Cols+c to the pinned level of a stuck-at cell.
 	stuck map[int]uint8
-	// masks[phys][level][word]: bit c set iff cell (phys, c) is effectively
-	// at that level. Level 0 masks are omitted (they carry no signal).
-	masks [][][]uint64
-	// pmasks mirrors masks for *programmed* levels, so the scrub probe's
-	// expected-output query (ProgrammedRowOutput) walks words like the
-	// effective-level readers instead of scanning cells.
-	pmasks [][][]uint64
-	// hist[phys][level] is the effective level histogram used for worst-case
-	// susceptibility prediction.
-	hist [][]int
-	// levelList[phys] holds the ascending nonzero effective levels present
-	// in the word line (hist > 0), so per-row reads and aggregates iterate
-	// only levels that exist instead of all 2^BitsPerCell.
-	levelList [][]uint8
 	// rowMap[r] is the physical word line backing logical row r.
 	rowMap []int
 	// spareFree lists unused spare word lines in ascending order; SpareRow
@@ -97,39 +105,20 @@ func NewArrayWithSpares(rows, cols, bitsPerCell, spares int) *Array {
 	a := &Array{
 		Rows: rows, Cols: cols, BitsPerCell: bitsPerCell,
 		words:     words,
-		levels:    make([][]uint8, phys),
-		eff:       make([][]uint8, phys),
-		masks:     make([][][]uint64, phys),
-		pmasks:    make([][][]uint64, phys),
-		hist:      make([][]int, phys),
-		levelList: make([][]uint8, phys),
+		lineWords: 2 * (k - 1) * words,
+		cells:     make([]uint8, 2*phys*cols),
+		masks:     make([]uint64, phys*2*(k-1)*words),
+		present:   make([]uint8, phys*k),
 		rowMap:    make([]int, rows),
 	}
-	// Each word line's slices are full-capacity windows of four per-row
-	// slabs (cells, mask headers, mask words, histogram) instead of 2k+3
-	// separate allocations; per-row slabs keep each allocation on a small
-	// size class, so they waste no heap to rounding.
-	for p := 0; p < phys; p++ {
-		cells := make([]uint8, 2*cols)
-		a.levels[p] = cells[:cols:cols]
-		a.eff[p] = cells[cols:]
-		hdrs := make([][]uint64, 2*k)
-		a.masks[p] = hdrs[:k:k]
-		a.pmasks[p] = hdrs[k:]
-		maskWords := make([]uint64, 2*(k-1)*words)
-		for l := 1; l < k; l++ {
-			o := 2 * (l - 1) * words
-			a.masks[p][l] = maskWords[o : o+words : o+words]
-			a.pmasks[p][l] = maskWords[o+words : o+2*words : o+2*words]
-		}
-		a.hist[p] = make([]int, k)
-		a.hist[p][0] = cols
-	}
-	for r := 0; r < rows; r++ {
+	for r := range a.rowMap {
 		a.rowMap[r] = r
 	}
-	for s := rows; s < phys; s++ {
-		a.spareFree = append(a.spareFree, s)
+	if spares > 0 {
+		a.spareFree = make([]int, spares)
+		for i := range a.spareFree {
+			a.spareFree[i] = rows + i
+		}
 	}
 	return a
 }
@@ -141,9 +130,43 @@ func (a *Array) NumLevels() int { return 1 << a.BitsPerCell }
 // array.
 func (a *Array) MaskWords() int { return a.words }
 
+// physRows is the physical word-line count, spares included.
+func (a *Array) physRows() int { return len(a.cells) / (2 * a.Cols) }
+
+// progCells is physical line p's programmed levels.
+func (a *Array) progCells(p int) []uint8 {
+	o := 2 * p * a.Cols
+	return a.cells[o : o+a.Cols : o+a.Cols]
+}
+
+// effCells is physical line p's effective levels.
+func (a *Array) effCells(p int) []uint8 {
+	o := (2*p + 1) * a.Cols
+	return a.cells[o : o+a.Cols : o+a.Cols]
+}
+
+// effMask is physical line p's mask of cells effectively at level l > 0.
+func (a *Array) effMask(p int, l uint8) []uint64 {
+	o := p*a.lineWords + (int(l)-1)*a.words
+	return a.masks[o : o+a.words : o+a.words]
+}
+
+// progMask is physical line p's mask of cells programmed to level l > 0.
+func (a *Array) progMask(p int, l uint8) []uint64 {
+	o := p*a.lineWords + (a.NumLevels()+int(l)-2)*a.words
+	return a.masks[o : o+a.words : o+a.words]
+}
+
+// levelSlot is physical line p's present-level list, with capacity for
+// every nonzero level so it grows in place.
+func (a *Array) levelSlot(p int) []uint8 {
+	o := p * a.NumLevels()
+	return a.present[o+1 : o+1+int(a.present[o]) : o+a.NumLevels()]
+}
+
 // cellDrifted is cell (p, c)'s contribution to the drifted counter.
 func (a *Array) cellDrifted(p, c int) int {
-	if a.eff[p][c] == a.levels[p][c] {
+	if a.effCells(p)[c] == a.progCells(p)[c] {
 		return 0
 	}
 	if _, pinned := a.stuck[p*a.Cols+c]; pinned {
@@ -182,50 +205,69 @@ func (a *Array) setCellPhys(p, c int, level uint8) {
 }
 
 // setProg records the programmed target of physical cell (p, c),
-// maintaining the programmed-level masks. Every write to a.levels must go
-// through here or ProgrammedRowOutput diverges from the cell state.
+// maintaining the programmed-level masks. Every programmed-level write must
+// go through here or ProgrammedRowOutput diverges from the cell state.
 func (a *Array) setProg(p, c int, level uint8) {
-	old := a.levels[p][c]
+	cells := a.progCells(p)
+	old := cells[c]
 	if old == level {
 		return
 	}
 	w, b := c/64, uint(c%64)
 	if old != 0 {
-		a.pmasks[p][old][w] &^= 1 << b
+		a.progMask(p, old)[w] &^= 1 << b
 	}
 	if level != 0 {
-		a.pmasks[p][level][w] |= 1 << b
+		a.progMask(p, level)[w] |= 1 << b
 	}
-	a.levels[p][c] = level
+	cells[c] = level
 }
 
 // setEff moves the effective level of physical cell (p, c), maintaining the
-// read masks, histograms, and present-level lists. Callers account for the
-// drifted counter.
+// read masks and present-level lists. Callers account for the drifted
+// counter.
 func (a *Array) setEff(p, c int, level uint8) {
-	old := a.eff[p][c]
+	cells := a.effCells(p)
+	old := cells[c]
 	if old == level {
 		return
 	}
 	w, b := c/64, uint(c%64)
 	if old != 0 {
-		a.masks[p][old][w] &^= 1 << b
+		m := a.effMask(p, old)
+		m[w] &^= 1 << b
+		if isZero(m) {
+			a.setLevelCount(p, removeLevel(a.levelSlot(p), old))
+		}
 	}
 	if level != 0 {
-		a.masks[p][level][w] |= 1 << b
+		m := a.effMask(p, level)
+		if isZero(m) {
+			a.setLevelCount(p, insertLevel(a.levelSlot(p), level))
+		}
+		m[w] |= 1 << b
 	}
-	a.eff[p][c] = level
-	a.hist[p][old]--
-	a.hist[p][level]++
-	if old != 0 && a.hist[p][old] == 0 {
-		a.levelList[p] = removeLevel(a.levelList[p], old)
-	}
-	if level != 0 && a.hist[p][level] == 1 {
-		a.levelList[p] = insertLevel(a.levelList[p], level)
-	}
+	cells[c] = level
 }
 
-// insertLevel adds lv to the ascending level list (absent by contract).
+// setLevelCount records the length of line p's present-level list after
+// an in-place insert or remove.
+func (a *Array) setLevelCount(p int, list []uint8) {
+	a.present[p*a.NumLevels()] = uint8(len(list))
+}
+
+// isZero reports whether a mask has no cell set.
+func isZero(m []uint64) bool {
+	for _, w := range m {
+		if w != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// insertLevel adds lv to the ascending level list (absent by contract),
+// in place when the list has spare capacity.
 func insertLevel(list []uint8, lv uint8) []uint8 {
 	i := len(list)
 	for i > 0 && list[i-1] > lv {
@@ -274,7 +316,7 @@ func (a *Array) ClearStuck(r, c int) {
 	}
 	a.adjustDrift(p, c, func() {
 		delete(a.stuck, p*a.Cols+c)
-		a.setEff(p, c, a.levels[p][c])
+		a.setEff(p, c, a.progCells(p)[c])
 	})
 }
 
@@ -299,14 +341,15 @@ func (a *Array) DriftCell(r, c, delta int) bool {
 	if _, pinned := a.stuck[p*a.Cols+c]; pinned {
 		return false
 	}
-	lv := int(a.eff[p][c]) + delta
+	cur := a.effCells(p)[c]
+	lv := int(cur) + delta
 	if lv < 0 {
 		lv = 0
 	}
 	if lv >= a.NumLevels() {
 		lv = a.NumLevels() - 1
 	}
-	if uint8(lv) == a.eff[p][c] {
+	if uint8(lv) == cur {
 		return false
 	}
 	a.adjustDrift(p, c, func() {
@@ -325,7 +368,7 @@ func (a *Array) DriftedCount() int { return a.drifted }
 // cross-check the incremental counter against it.
 func (a *Array) driftedSlow() int {
 	n := 0
-	for p := range a.levels {
+	for p := 0; p < a.physRows(); p++ {
 		for c := 0; c < a.Cols; c++ {
 			n += a.cellDrifted(p, c)
 		}
@@ -334,14 +377,37 @@ func (a *Array) driftedSlow() int {
 }
 
 // Level returns the effective level of cell (r, c) — what a read observes.
-func (a *Array) Level(r, c int) uint8 { return a.eff[a.rowMap[r]][c] }
+func (a *Array) Level(r, c int) uint8 { return a.effCells(a.rowMap[r])[c] }
 
 // Programmed returns the level the write circuitry last targeted for cell
 // (r, c), which differs from Level under stuck-at faults or drift.
-func (a *Array) Programmed(r, c int) uint8 { return a.levels[a.rowMap[r]][c] }
+func (a *Array) Programmed(r, c int) uint8 { return a.progCells(a.rowMap[r])[c] }
 
-// Histogram returns the effective level histogram of row r (do not mutate).
-func (a *Array) Histogram(r int) []int { return a.hist[a.rowMap[r]] }
+// Histogram returns a fresh copy of the effective level histogram of row r.
+func (a *Array) Histogram(r int) []int { return a.HistogramInto(nil, r) }
+
+// HistogramInto writes the effective level histogram of row r into dst,
+// reusing its backing array when it holds NumLevels entries (a nil dst
+// allocates). Each count is the popcount of the row's level mask.
+func (a *Array) HistogramInto(dst []int, r int) []int {
+	k := a.NumLevels()
+	if cap(dst) < k {
+		dst = make([]int, k)
+	}
+	dst = dst[:k]
+	p := a.rowMap[r]
+	zero := a.Cols
+	for l := 1; l < k; l++ {
+		n := 0
+		for _, w := range a.effMask(p, uint8(l)) {
+			n += bits.OnesCount64(w)
+		}
+		dst[l] = n
+		zero -= n
+	}
+	dst[0] = zero
+	return dst
+}
 
 // ActiveCounts fills counts[level] with the number of row-r cells at each
 // level whose column is active in the input mask. counts must have
@@ -349,12 +415,11 @@ func (a *Array) Histogram(r int) []int { return a.hist[a.rowMap[r]] }
 // beyond the calibrated offset). Row addresses go through the row-remap
 // table, so spared rows read from their replacement word line.
 func (a *Array) ActiveCounts(r int, input []uint64, counts []int) {
-	row := a.masks[a.rowMap[r]]
-	for l := 1; l < len(row); l++ {
-		m := row[l]
+	p := a.rowMap[r]
+	for l := 1; l < a.NumLevels(); l++ {
 		n := 0
-		for w := 0; w < a.words; w++ {
-			n += bits.OnesCount64(m[w] & input[w])
+		for w, mw := range a.effMask(p, uint8(l)) {
+			n += bits.OnesCount64(mw & input[w])
 		}
 		counts[l] = n
 	}
@@ -369,17 +434,12 @@ func (a *Array) ActiveCounts(r int, input []uint64, counts []int) {
 // Each counts[b] must have NumLevels entries.
 func (a *Array) ActiveCountsMulti(r int, inputs [][]uint64, counts [][]int) {
 	p := a.rowMap[r]
-	row := a.masks[p]
 	for _, cb := range counts {
-		for l := range cb {
-			cb[l] = 0
-		}
+		clear(cb)
 	}
-	for _, l := range a.levelList[p] {
-		m := row[l]
+	for _, l := range a.levelSlot(p) {
+		m := a.effMask(p, l)
 		switch len(m) {
-		case 0:
-			continue
 		case 1:
 			// One- and two-word rows (<=128 columns) cover every tiled
 			// crossbar in practice; unrolling them removes the word-loop
@@ -421,18 +481,15 @@ func (a *Array) ActiveCountsMulti(r int, inputs [][]uint64, counts [][]int) {
 // absent levels.
 func (a *Array) ActiveCountsBatch(r int, sets [][][]uint64, counts []int) {
 	p := a.rowMap[r]
-	row := a.masks[p]
 	planes := 0
 	if len(sets) > 0 {
 		planes = len(sets[0])
 	}
 	stride := len(sets) * planes
-	for _, l := range a.levelList[p] {
-		m := row[l]
+	for _, l := range a.levelSlot(p) {
+		m := a.effMask(p, l)
 		i := int(l) * stride
 		switch len(m) {
-		case 0:
-			continue
 		case 1:
 			// Same unrolling rationale as ActiveCountsMulti: one- and
 			// two-word rows cover every tiled crossbar in practice.
@@ -471,20 +528,22 @@ func (a *Array) ActiveCountsBatch(r int, sets [][][]uint64, counts []int) {
 // LevelList returns the ascending nonzero effective levels present in row r.
 // The slice is owned by the array: do not mutate, and treat it as
 // invalidated by any cell mutation.
-func (a *Array) LevelList(r int) []uint8 { return a.levelList[a.rowMap[r]] }
+func (a *Array) LevelList(r int) []uint8 {
+	list := a.levelSlot(a.rowMap[r])
+	return list[:len(list):len(list)]
+}
 
 // IdealRowOutput returns the noise-free quantized ADC output of row r under
 // an input mask: the level-weighted active-cell count, which is exactly the
 // integer the shift-and-add tree expects. Row addresses go through the
 // row-remap table.
 func (a *Array) IdealRowOutput(r int, input []uint64) int {
-	row := a.masks[a.rowMap[r]]
+	p := a.rowMap[r]
 	out := 0
-	for l := 1; l < len(row); l++ {
-		m := row[l]
+	for l := 1; l < a.NumLevels(); l++ {
 		n := 0
-		for w := 0; w < a.words; w++ {
-			n += bits.OnesCount64(m[w] & input[w])
+		for w, mw := range a.effMask(p, uint8(l)) {
+			n += bits.OnesCount64(mw & input[w])
 		}
 		out += l * n
 	}
@@ -497,13 +556,12 @@ func (a *Array) IdealRowOutput(r int, input []uint64) int {
 // IdealRowOutput - ProgrammedRowOutput is the row's deviation in steps
 // caused by stuck-at faults and drift.
 func (a *Array) ProgrammedRowOutput(r int, input []uint64) int {
-	row := a.pmasks[a.rowMap[r]]
+	p := a.rowMap[r]
 	out := 0
-	for l := 1; l < len(row); l++ {
-		m := row[l]
+	for l := 1; l < a.NumLevels(); l++ {
 		n := 0
-		for w := 0; w < a.words; w++ {
-			if mw := m[w]; mw != 0 {
+		for w, mw := range a.progMask(p, uint8(l)) {
+			if mw != 0 {
 				n += bits.OnesCount64(mw & input[w])
 			}
 		}
@@ -515,9 +573,8 @@ func (a *Array) ProgrammedRowOutput(r int, input []uint64) int {
 // programmedRowOutputScan is the O(cols) cell scan ProgrammedRowOutput
 // replaced; tests cross-check the mask walk against it.
 func (a *Array) programmedRowOutputScan(r int, input []uint64) int {
-	row := a.levels[a.rowMap[r]]
 	out := 0
-	for c, lv := range row {
+	for c, lv := range a.progCells(a.rowMap[r]) {
 		if lv == 0 {
 			continue
 		}
@@ -611,7 +668,7 @@ func (a *Array) programVerifyPhys(p, c int, level uint8, maxIters int, pulseFail
 	// how many pulses that took. Re-pulses rewrite the same level, so the
 	// state is written once.
 	a.setCellPhys(p, c, level)
-	if a.eff[p][c] != level {
+	if a.effCells(p)[c] != level {
 		return maxIters, false // pinned off-target: pulses cannot move it
 	}
 	for iter := 1; iter <= maxIters; iter++ {
@@ -658,8 +715,9 @@ func (a *Array) SpareRow(r int, maxIters int, pulseFail []float64, rng *rand.Ran
 	old := a.rowMap[r]
 	repl := a.spareFree[0]
 	a.spareFree = a.spareFree[1:]
-	targets := append([]uint8(nil), a.levels[old]...)
-	for c, lv := range targets {
+	// Programming the replacement leaves the worn line's targets in place,
+	// so they are read straight from the slab.
+	for c, lv := range a.progCells(old) {
 		pulses, ok := a.programVerifyPhys(repl, c, lv, maxIters, pulseFail, rng)
 		tally.Note(pulses, ok)
 	}

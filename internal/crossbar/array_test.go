@@ -289,3 +289,19 @@ func TestBitSerialReconstructionQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestNewArrayAllocsConstant pins the flat layout's footprint: an array is
+// a fixed handful of slabs, so a 512-row array costs exactly as many heap
+// objects as an 8-row one.
+func TestNewArrayAllocsConstant(t *testing.T) {
+	allocs := func(rows int) float64 {
+		return testing.AllocsPerRun(20, func() { NewArrayWithSpares(rows, 128, 2, 4) })
+	}
+	small, large := allocs(8), allocs(512)
+	if small != large {
+		t.Fatalf("NewArrayWithSpares makes %v allocations at 8 rows but %v at 512", small, large)
+	}
+	if small > 6 {
+		t.Fatalf("NewArrayWithSpares makes %v allocations, want at most 6 (the array and its slabs)", small)
+	}
+}

@@ -3,12 +3,14 @@ package crossbar
 import (
 	"math/rand/v2"
 	"reflect"
+	"slices"
 	"testing"
 )
 
 // scrambledArray builds an array with a noisy mix of programmed levels,
 // stuck cells, drift, and spared rows, so the incremental structures
-// (pmasks, levelList) are exercised through every mutation path.
+// (programmed masks, present-level lists) are exercised through every
+// mutation path.
 func scrambledArray(t *testing.T, rows, cols, bpc, spares int, seed uint64) *Array {
 	t.Helper()
 	a := NewArrayWithSpares(rows, cols, bpc, spares)
@@ -75,22 +77,23 @@ func TestActiveCountsMultiMatchesScalar(t *testing.T) {
 }
 
 // TestLevelListConsistent checks the incrementally maintained present-level
-// lists against the histograms after the mutation storm.
+// lists against the effective cells after the mutation storm.
 func TestLevelListConsistent(t *testing.T) {
 	a := scrambledArray(t, 24, 70, 3, 1, 11)
-	for p := range a.hist {
+	for p := 0; p < a.physRows(); p++ {
 		var want []uint8
-		for l := 1; l < a.NumLevels(); l++ {
-			if a.hist[p][l] > 0 {
-				want = append(want, uint8(l))
+		for c := 0; c < a.Cols; c++ {
+			if lv := a.effCells(p)[c]; lv != 0 && !slices.Contains(want, lv) {
+				want = append(want, lv)
 			}
 		}
-		got := a.levelList[p]
+		slices.Sort(want)
+		got := a.levelSlot(p)
 		if len(got) == 0 && len(want) == 0 {
 			continue
 		}
 		if !reflect.DeepEqual([]uint8(got), want) {
-			t.Fatalf("phys row %d: level list %v, histogram says %v", p, got, want)
+			t.Fatalf("phys row %d: level list %v, cells say %v", p, got, want)
 		}
 	}
 }

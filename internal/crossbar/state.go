@@ -14,9 +14,9 @@ type StuckCellState struct {
 
 // ArrayState is the durable digital state of one crossbar: everything a
 // restart needs to rebuild the array bit-identically. The derived read-path
-// structures (level masks, histograms, present-level lists, the drifted
-// counter) are deliberately absent — Restore reconstructs them from the
-// cell levels, so a snapshot can never smuggle in an inconsistent cache.
+// structures (level masks, present-level lists, the drifted counter) are
+// deliberately absent — Restore reconstructs them from the cell levels, so
+// a snapshot can never smuggle in an inconsistent cache.
 type ArrayState struct {
 	Rows        int `json:"rows"`
 	Cols        int `json:"cols"`
@@ -39,7 +39,7 @@ type ArrayState struct {
 // Snapshot captures the array's durable state. The copy shares nothing with
 // the live array.
 func (a *Array) Snapshot() ArrayState {
-	phys := len(a.levels)
+	phys := a.physRows()
 	st := ArrayState{
 		Rows: a.Rows, Cols: a.Cols, BitsPerCell: a.BitsPerCell, Phys: phys,
 		Prog:   make([][]uint8, phys),
@@ -48,8 +48,8 @@ func (a *Array) Snapshot() ArrayState {
 		Spared: a.spared,
 	}
 	for p := 0; p < phys; p++ {
-		st.Prog[p] = append([]uint8(nil), a.levels[p]...)
-		st.Eff[p] = append([]uint8(nil), a.eff[p]...)
+		st.Prog[p] = append([]uint8(nil), a.progCells(p)...)
+		st.Eff[p] = append([]uint8(nil), a.effCells(p)...)
 	}
 	if len(a.spareFree) > 0 {
 		st.SpareFree = append([]int(nil), a.spareFree...)
@@ -73,7 +73,7 @@ func (a *Array) Snapshot() ArrayState {
 // touching any state. A nil error guarantees a subsequent Restore of the
 // same snapshot succeeds.
 func (a *Array) CheckState(st ArrayState) error {
-	phys := len(a.levels)
+	phys := a.physRows()
 	if st.Rows != a.Rows || st.Cols != a.Cols || st.BitsPerCell != a.BitsPerCell || st.Phys != phys {
 		return fmt.Errorf("crossbar: snapshot geometry %dx%d/%db/%dp does not match array %dx%d/%db/%dp",
 			st.Rows, st.Cols, st.BitsPerCell, st.Phys, a.Rows, a.Cols, a.BitsPerCell, phys)
@@ -146,24 +146,21 @@ func (a *Array) CheckState(st ArrayState) error {
 
 // Restore rebuilds the array from a snapshot: cell levels, stuck faults,
 // row remapping, and the spare budget are taken verbatim, and every derived
-// structure (masks, histograms, level lists, drift counter) is recomputed
-// through the same invariant-maintaining mutators the live write path uses.
+// structure (masks, level lists, drift counter) is recomputed through the
+// same invariant-maintaining mutators the live write path uses.
 // The snapshot is validated first; on error the array is untouched.
 func (a *Array) Restore(st ArrayState) error {
 	if err := a.CheckState(st); err != nil {
 		return err
 	}
-	phys := len(a.levels)
 	// Reset to the freshly-allocated state, then replay the snapshot through
-	// setProg/setEff so masks/hist/levelList can never drift from the cells.
-	for p := 0; p < phys; p++ {
-		for c := 0; c < a.Cols; c++ {
-			a.setProg(p, c, 0)
-			a.setEff(p, c, 0)
-		}
-	}
+	// setProg/setEff so the masks and level lists can never drift from the
+	// cells.
+	clear(a.cells)
+	clear(a.masks)
+	clear(a.present)
 	a.stuck = nil
-	for p := 0; p < phys; p++ {
+	for p := 0; p < a.physRows(); p++ {
 		for c := 0; c < a.Cols; c++ {
 			a.setProg(p, c, st.Prog[p][c])
 			a.setEff(p, c, st.Eff[p][c])

@@ -539,3 +539,32 @@ func BenchmarkPredictPersistArmed(b *testing.B) {
 		}
 	}
 }
+
+// TestBuildStateCountsAnsweredRequest: once Predict returns, the request is
+// on the wear clock. A snapshot built at that instant must count it and its
+// ECU outcomes, or a crash right after an answer persists a clock one
+// request behind the device state it stamps. Two workers let the reply and
+// the snapshot race as they do in a live pool.
+func TestBuildStateCountsAnsweredRequest(t *testing.T) {
+	eng, _ := testEngine(t, 0.001)
+	s, err := NewScheduler(eng, Config{Workers: 2, QueueDepth: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close(context.Background())
+	var rowReads uint64
+	for i := uint64(1); i <= 300; i++ {
+		p, err := s.Predict(context.Background(), testInput(i), i, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rowReads += p.Stats.RowReads
+		st := s.buildState().Scheduler
+		if st.Served != i {
+			t.Fatalf("request %d answered but the snapshot's wear clock reads %d", i, st.Served)
+		}
+		if st.ECC.RowReads != rowReads {
+			t.Fatalf("request %d answered but the snapshot counts %d row reads, want %d", i, st.ECC.RowReads, rowReads)
+		}
+	}
+}

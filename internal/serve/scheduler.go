@@ -385,12 +385,8 @@ func (s *Scheduler) worker(id uint64) {
 		live = live[:0]
 		for _, jb := range batch {
 			if jb.ctx != nil && jb.ctx.Err() != nil {
-				// The client vanished while the job was queued: no session
-				// slot is spent on it and it does not count as served — only
-				// the cancellation tally moves.
-				s.canceled.Add(1)
-				jb.resp <- jobResult{err: jb.ctx.Err()}
-				s.inflight.Add(-1)
+				// The client vanished while the job was queued.
+				s.cancel(jb)
 				continue
 			}
 			if start.Sub(jb.enqueued) > s.cfg.QueueTimeout {
@@ -516,9 +512,7 @@ func (s *Scheduler) serveBatch(w *workerState, bs batchSession, jobs []*job, sta
 		// a lane on an answer nobody reads, and keeps its MVMs out of the
 		// batch telemetry.
 		if j.ctx != nil && j.ctx.Err() != nil {
-			s.canceled.Add(1)
-			j.resp <- jobResult{err: j.ctx.Err()}
-			s.inflight.Add(-1)
+			s.cancel(j)
 			continue
 		}
 		w.bjobs = append(w.bjobs, j)
@@ -591,11 +585,23 @@ func (s *Scheduler) forwardBatch(bs batchSession, xs []*nn.Tensor, streams []uin
 	return bs.ForwardBatch(xs, streams)
 }
 
-// answer delivers one result and updates the drain accounting.
+// answer updates the drain accounting and then delivers one result. The
+// counters move first, so a caller that returns from Predict observes its
+// request in Served and in every snapshot built after it: served is the
+// wear clock a restore checks. resp is buffered, so the send never blocks.
 func (s *Scheduler) answer(j *job, r jobResult) {
-	j.resp <- r
 	s.served.Add(1)
 	s.inflight.Add(-1)
+	j.resp <- r
+}
+
+// cancel drops a job whose client vanished before it was served: no
+// session slot is spent on it and it does not count as served, only the
+// cancellation tally moves, again before the reply.
+func (s *Scheduler) cancel(j *job) {
+	s.canceled.Add(1)
+	s.inflight.Add(-1)
+	j.resp <- jobResult{err: j.ctx.Err()}
 }
 
 // serveJob evaluates one request and, when recovery is enabled, feeds the
