@@ -452,7 +452,7 @@ func BenchmarkForwardBatch(b *testing.B) {
 // BenchmarkShardPoolForwardBatch runs the same 16-image batch through a
 // shard pool (layers partitioned into fault domains, 2 replicas per shard)
 // instead of a bare session. Warm routing must stay allocation-free — the
-// owner table and per-layer closures are built at session construction —
+// owner table and the lockstep walk are built at session construction —
 // so this bench sits under the CI alloc gate next to BenchmarkForwardBatch.
 func BenchmarkShardPoolForwardBatch(b *testing.B) {
 	w := benchWorkload(b)
@@ -477,7 +477,6 @@ func BenchmarkShardPoolForwardBatch(b *testing.B) {
 		streams[i] = uint64(i + 1)
 	}
 	sess := pool.NewSession(0)
-	defer sess.Close()
 	warm := func() {
 		outs, errs := sess.ForwardBatch(xs, streams)
 		for i := range outs {

@@ -3,6 +3,7 @@ package accel
 import (
 	"math"
 	"math/rand/v2"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -608,6 +609,31 @@ func TestParseScheme(t *testing.T) {
 	for _, bad := range []string{"", "ABN-", "ABN-3", "ABN-99", "hamming", "abn-x"} {
 		if _, err := ParseScheme(bad); err == nil {
 			t.Errorf("%q must not parse", bad)
+		}
+	}
+}
+
+// TestServingNetHoldsNoTrainingBuffers: a network that only loads weights,
+// is mapped and serves never allocates gradient or momentum buffers — those
+// belong to training.
+func TestServingNetHoldsNoTrainingBuffers(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cnn1.gob")
+	if err := nn.NewCNN1(5).SaveWeights(path); err != nil {
+		t.Fatal(err)
+	}
+	net := nn.NewCNN1(6)
+	if err := net.LoadWeights(path); err != nil {
+		t.Fatal(err)
+	}
+	eng, err := Map(net, quietConfig(SchemeNoECC(), 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.NewSession(0).Forward(nn.NewTensor(1, 28, 28))
+	for i, p := range net.Params() {
+		if p.Grad != nil || p.Vel != nil {
+			t.Fatalf("parameter %d holds training buffers after load, map and forward (grad %d, vel %d)",
+				i, len(p.Grad), len(p.Vel))
 		}
 	}
 }

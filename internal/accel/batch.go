@@ -9,17 +9,15 @@ import (
 	"repro/internal/stats"
 )
 
-// batchKernel is the scratch shared across the images of one batched MVM:
-// the flat level-major count buffer and accumulators of the fused
-// multi-image bit-plane kernel, a small per-image gather slice, and the
-// MVM's binomial table snapshot. One batchKernel belongs to one Session
-// (coordinator goroutine); the per-image state lives in ordinary per-lane
+// batchKernel is the scratch shared across the images of one multi-image
+// MVM: the flat level-major count buffer and accumulators of the fused
+// bit-plane kernel and a small per-image gather slice. One batchKernel
+// belongs to one Session; the per-image state lives in ordinary per-lane
 // Scratch arenas.
 type batchKernel struct {
 	counts []int
 	accs   []noise.AggAccum
 	sets   [][][]uint64
-	sn     stats.BinomSnapshot
 }
 
 func (k *batchKernel) countsFor(n int) []int {
@@ -48,327 +46,307 @@ func (k *batchKernel) setsFor(n int) [][][]uint64 {
 // all B images' plane aggregations (the masks differ per image; the level
 // lists, per-level noise terms, and CDF tables are shared). Each image's
 // row reads land in ring slot 0 of its own Scratch arena exactly as the
-// serial precompute would have left them, bit for bit, so group.read runs
-// unchanged on top.
-func (g *group) precomputeBatch(m *MappedMatrix, c int, subs []*Scratch, kn *batchKernel) {
+// one-image precompute would have left them, bit for bit, so group.read
+// runs unchanged on top.
+func (g *group) precomputeBatch(m *MappedMatrix, c int, imgs []mvmImage, sn *stats.BinomSnapshot, kn *batchKernel) {
 	rows := g.arr.Rows
-	planes := len(subs[0].masks[c])
-	stride := len(subs) * planes
+	planes := len(imgs[0].scr.masks[c])
+	stride := len(imgs) * planes
 	counts := kn.countsFor(g.arr.NumLevels() * stride)
 	accs := kn.accsFor(stride)
-	sets := kn.setsFor(len(subs))
-	for i, sub := range subs {
-		sets[i] = sub.masks[c]
-		sub.readsFor(0, planes*rows)
+	sets := kn.setsFor(len(imgs))
+	for i := range imgs {
+		sets[i] = imgs[i].scr.masks[c]
+		imgs[i].scr.readsFor(0, planes*rows)
 	}
 	for r := 0; r < rows; r++ {
 		g.arr.ActiveCountsBatch(r, sets, counts)
 		lv := g.arr.LevelList(r)
 		m.sampler.AccumulateRowLevelsBatch(lv, counts, accs)
 		j := 0
-		for _, sub := range subs {
+		for i := range imgs {
+			sub := imgs[i].scr
 			for b, mask := range sub.masks[c] {
 				agg, t := m.sampler.FinishAccum(&accs[j])
-				g.resolve(m, &kn.sn, r, mask, agg, t, &sub.slots[0][b*rows+r])
+				g.resolve(m, sn, r, mask, agg, t, &sub.slots[0][b*rows+r])
 				j++
 			}
 		}
 	}
 }
 
-// MVMBatchInto evaluates W*x for B images in one pass over the mapped
-// arrays. Per image it is bit-identical to MVMInto with that image's rng
-// and scratch: the deterministic precompute is fused across the batch
-// (touching no RNG), while the stochastic row reads run per image, in
-// batch order within each (chunk, group), each on its own rng — so every
-// image's draw sequence is exactly its serial sequence. outs/xs/rngs/subs/
-// sts are aligned per image; each outs[i] must have the output dimension
-// and each subs[i] is that image's private arena. kn is the shared batch
-// kernel scratch. Warm arenas make the whole call allocation-free.
-func (m *MappedMatrix) MVMBatchInto(outs, xs [][]float64, rngs []*stats.FastRand, subs []*Scratch, sts []*Stats, kn *batchKernel) {
-	for i, x := range xs {
-		if len(x) != m.inDim {
-			panic(fmt.Sprintf("accel: batch input %d length %d, want %d", i, len(x), m.inDim))
+// mvmImage is one image of a kernel call: its input and output, its noise
+// rng, its private scratch arena, and the stats its reads tally into.
+type mvmImage struct {
+	out, x []float64
+	rng    *stats.FastRand
+	scr    *Scratch
+	st     *Stats
+}
+
+// mvmBatch is the noisy-MVM kernel: it evaluates W*x for every image in
+// one pass over the mapped arrays. Per image the result is a function of
+// that image's input, rng and arena alone: the deterministic precompute
+// touches no RNG, and the stochastic row reads run per image, in image
+// order within each (chunk, group), each on its own rng, so every image's
+// draw sequence is exactly its one-image sequence. One image takes the
+// pipelined precompute (a helper fills groups ahead of the draws while a
+// core is idle, see pipeline.go); several take the fused multi-image
+// precompute and count in BatchMVMs. Each out must have the output
+// dimension; kn is the shared multi-image scratch (unused for one image).
+// Warm arenas make the whole call allocation-free. The caller counts
+// itself in kernelWorkers.
+func (m *MappedMatrix) mvmBatch(imgs []mvmImage, kn *batchKernel) {
+	for i := range imgs {
+		if len(imgs[i].x) != m.inDim {
+			panic(fmt.Sprintf("accel: input length %d, want %d", len(imgs[i].x), m.inDim))
 		}
-		if len(outs[i]) != m.outDim {
-			panic(fmt.Sprintf("accel: batch output %d length %d, want %d", i, len(outs[i]), m.outDim))
+		if len(imgs[i].out) != m.outDim {
+			panic(fmt.Sprintf("accel: output length %d, want %d", len(imgs[i].out), m.outDim))
 		}
+		imgs[i].scr.loadInput(m, imgs[i].x)
 	}
-	for i, sub := range subs {
-		sub.loadInput(m, xs[i])
+	lead := imgs[0].scr
+	lead.sn = m.sampler.BinomSnapshot()
+	pipe := len(imgs) == 1
+	if pipe {
+		lead.startPipeline(m)
+		defer lead.endPipeline()
 	}
-	kn.sn = m.sampler.BinomSnapshot()
+	gi := 0
 	for c, ch := range m.chunks {
 		for _, g := range ch.groups {
-			g.precomputeBatch(m, c, subs, kn)
-			for i, sub := range subs {
-				masks := sub.masks[c]
+			var reads []rowRead
+			if pipe {
+				reads = lead.awaitGroup(gi)
+			} else {
+				g.precomputeBatch(m, c, imgs, &lead.sn, kn)
+			}
+			for i := range imgs {
+				im := &imgs[i]
+				if !pipe {
+					reads = im.scr.slots[0]
+				}
+				masks := im.scr.masks[c]
 				for b := range masks {
-					sub.accumulate(g, g.read(m, sub, sub.slots[0], masks, b, rngs[i], sts[i]), b)
+					im.scr.accumulate(g, g.read(m, im.scr, reads, masks, b, im.rng, im.st), b)
 				}
 			}
+			if pipe {
+				lead.releaseGroup(gi)
+			}
+			gi++
 		}
-		for _, sub := range subs {
-			sub.endChunk(m, c)
+		for i := range imgs {
+			imgs[i].scr.endChunk(m, c)
 		}
 	}
-	for i, out := range outs {
-		subs[i].dequantize(m, out)
+	for i := range imgs {
+		imgs[i].scr.dequantize(m, imgs[i].out)
+		if !pipe {
+			imgs[i].st.BatchMVMs++
+		}
 	}
 }
 
-// batchLane is one image slot of a session's batch arena: its noise RNG,
-// its private scratch arena, and its stats — the per-image state a serial
-// Session keeps once, replicated per batch position so image i's evaluation
-// stays a pure function of (engine, streams[i]) regardless of batchmates.
+// batchLane is one image slot of a session: its noise RNG, its private
+// scratch arena, and its stats. Lane 0 is the session's serial stream;
+// lane i of a batched pass keeps image i's evaluation a pure function of
+// (engine, streams[i]) regardless of batchmates.
 type batchLane struct {
 	src   *rand.PCG
 	rng   *stats.FastRand
 	scr   *Scratch
-	stats Stats
-	layer []Stats
+	stats Stats   // lane totals (lane 0 keeps its in Session.Stats)
+	layer []Stats // per-layer tallies, by layer index
+	diff  Stats   // the lane's stats of the current layer call
 }
 
-// BatchArena is the batch-shaped growth of the session scratch arena:
-// per-image lanes plus the shared batch-kernel scratch and the compaction
-// buffers of the batched slot dispatch. It grows with the largest batch
-// seen and never shrinks, so steady-state batched traffic allocates
-// nothing.
-type BatchArena struct {
-	lanes []*batchLane
-	kn    batchKernel
-
-	// per-call gather state (valid during one batched slot dispatch)
-	outs  [][]float64
-	errs  []error
-	vxs   [][]float64
-	vouts [][]float64
-	vrngs []*stats.FastRand
-	vsubs []*Scratch
-	vsts  []*Stats
-	vj    []int
-	pre   []Stats
+// newLane builds a lane seeded to stream seed.
+func (s *Session) newLane(seed uint64) batchLane {
+	src := stats.SubPCG(s.engine.cfg.Seed, seed)
+	return batchLane{src: src, rng: stats.NewFastRand(src), scr: NewScratch(),
+		layer: make([]Stats, len(s.engine.slots))}
 }
 
-// lanesFor grows the arena to at least n lanes.
-func (ba *BatchArena) lanesFor(s *Session, n int) []*batchLane {
-	for len(ba.lanes) < n {
-		src := stats.SubPCG(s.engine.cfg.Seed, 0)
-		ba.lanes = append(ba.lanes, &batchLane{
-			src:   src,
-			rng:   stats.NewFastRand(src),
-			scr:   NewScratch(),
-			layer: make([]Stats, len(s.engine.slots)),
-		})
+// lanesFor grows the session to at least n lanes. Lanes never shrink, so
+// steady-state traffic allocates nothing.
+func (s *Session) lanesFor(n int) []batchLane {
+	for len(s.lanes) < n {
+		s.lanes = append(s.lanes, s.newLane(0))
 	}
-	return ba.lanes[:n]
+	return s.lanes[:n]
 }
 
-func (ba *BatchArena) outsFor(n int) [][]float64 {
-	if cap(ba.outs) < n {
-		ba.outs = make([][]float64, n)
+// laneStats returns lane i's totals.
+func (s *Session) laneStats(i int) *Stats {
+	if i == 0 {
+		return &s.Stats
 	}
-	ba.outs = ba.outs[:n]
-	for i := range ba.outs {
-		ba.outs[i] = nil
-	}
-	return ba.outs
+	return &s.lanes[i].stats
 }
 
-func (ba *BatchArena) errsFor(n int) []error {
-	if cap(ba.errs) < n {
-		ba.errs = make([]error, n)
-	}
-	ba.errs = ba.errs[:n]
-	for i := range ba.errs {
-		ba.errs[i] = nil
-	}
-	return ba.errs
-}
-
-// ensureBatch lazily builds the session's batch machinery: the lockstep
-// forward batcher over per-lane network clones, and the batch arena.
-func (s *Session) ensureBatch() {
-	if s.fb == nil {
-		e := s.engine
-		s.fb = nn.NewForwardBatcher(e.InferenceNet, e.Layers())
-		s.ba = &BatchArena{}
-	}
+// walk runs one lockstep forward pass of xs over lanes 0..len(xs)-1. Lane
+// 0's arena counts the session in kernelWorkers for the whole pass, so the
+// digital layers between MVMs do not read as an idle core.
+func (s *Session) walk(xs []*nn.Tensor) ([]*nn.Tensor, []error) {
+	scr := s.lanes[0].scr
+	scr.beginKernel()
+	defer scr.endKernel()
+	return s.fb.Run(xs, s.batchMVM)
 }
 
 // ForwardBatch runs one noisy inference per input, batched: the images
 // advance in lockstep through the network, and at every mapped layer all
 // of them are evaluated in a single multi-image pass over the shared
-// arrays (one level-list walk per row per batch). streams[i] seeds image
-// i's noise lane exactly as Reseed(streams[i]) would a serial session, so
-// outs[i] is bit-identical to a serial Reseed+Forward of the same stream —
-// the batch-size-invariance contract. errs[i] is non-nil (and outs[i] nil)
-// when image i alone failed (e.g. a shape mismatch); batchmates are
-// unaffected. Outputs and slices are valid until the session's next
-// ForwardBatch. The caller owns the session; concurrent use is not
+// arrays (one level-list walk per row per batch). streams[i] reseeds lane
+// i exactly as Reseed(streams[i]) would the serial stream, so outs[i] is
+// bit-identical to Reseed+Forward of the same stream — the
+// batch-size-invariance contract. Lane 0 is the serial stream, so a later
+// Forward without Reseed continues from streams[0]. errs[i] is non-nil
+// (and outs[i] nil) when image i alone failed (e.g. a shape mismatch);
+// batchmates are unaffected. Outputs and slices are valid until the
+// session's next pass. The caller owns the session; concurrent use is not
 // allowed, but engine mutators (Remap, Retune, fault injection, scrub) may
-// run concurrently as with serial Forward.
+// run concurrently.
 func (s *Session) ForwardBatch(xs []*nn.Tensor, streams []uint64) ([]*nn.Tensor, []error) {
 	if len(streams) != len(xs) {
 		panic(fmt.Sprintf("accel: %d inputs, %d streams", len(xs), len(streams)))
 	}
-	s.ensureBatch()
-	for i, lane := range s.ba.lanesFor(s, len(xs)) {
-		stats.ReseedSub(lane.src, s.engine.cfg.Seed, streams[i])
+	for i := range s.lanesFor(len(xs)) {
+		stats.ReseedSub(s.lanes[i].src, s.engine.cfg.Seed, streams[i])
 	}
-	s.scr.beginKernel()
-	defer s.scr.endKernel()
-	return s.fb.Run(xs, s.batchMVM)
+	return s.walk(xs)
 }
 
-// batchMVM is the coordinator-side multi-image layer dispatch behind
-// ForwardBatch: all stochastic draws happen here, on the caller's
-// goroutine, image-ordered — never on the lane goroutines.
+// batchMVM evaluates one mapped layer for lanes idx on inputs xs: the
+// batched-MVM callback of every walk and the body of MVMLayer and
+// MVMLayerBatch. All stochastic draws happen here, on the caller's
+// goroutine, lane by lane on each lane's own rng. Each lane's diff holds
+// its stats of this call, also merged into its tallies. An unmapped layer
+// or a wrong-length input fails just the images concerned.
 func (s *Session) batchMVM(layer int, idx []int, xs [][]float64) ([][]float64, []error) {
+	outs := zeroed(&s.outs, len(idx))
+	var errs []error
+	fail := func(j int, err error) {
+		if errs == nil {
+			errs = zeroed(&s.errs, len(idx))
+		}
+		errs[j] = err
+	}
+	for _, i := range idx {
+		s.lanes[i].diff = Stats{}
+	}
 	sl := s.engine.slot(layer)
-	ba := s.ba
 	if sl == nil {
-		errs := ba.errsFor(len(idx))
-		for j := range errs {
-			errs[j] = fmt.Errorf("accel: layer %d is not mapped", layer)
+		for j := range idx {
+			fail(j, fmt.Errorf("accel: layer %d is not mapped", layer))
 		}
 		return nil, errs
 	}
-	outs := ba.outsFor(len(idx))
+	scr := s.lanes[0].scr
+	scr.beginKernel()
+	defer scr.endKernel()
 	sl.mu.RLock()
 	defer sl.mu.RUnlock()
-	if sl.fallback {
-		for j, x := range xs {
-			lane := ba.lanes[idx[j]]
-			ls := &lane.layer[layer]
-			pre := *ls
-			ls.SoftMVMs++
-			outs[j] = sl.soft.MVM(x)
-			lane.stats.Merge(ls.Diff(pre))
-		}
-		return outs, nil
-	}
 	m := sl.m
-	// Validate per image so one malformed input degrades to a per-image
-	// error instead of failing its batchmates.
-	var errs []error
-	ba.vxs, ba.vouts, ba.vrngs, ba.vsubs, ba.vsts = ba.vxs[:0], ba.vouts[:0], ba.vrngs[:0], ba.vsubs[:0], ba.vsts[:0]
-	ba.vj, ba.pre = ba.vj[:0], ba.pre[:0]
+	s.imgs = s.imgs[:0]
 	for j, x := range xs {
-		if len(x) != m.inDim {
-			if errs == nil {
-				errs = ba.errsFor(len(idx))
-			}
-			errs[j] = fmt.Errorf("accel: input length %d, want %d", len(x), m.inDim)
-			continue
+		lane := &s.lanes[idx[j]]
+		switch {
+		case len(x) != m.inDim:
+			fail(j, fmt.Errorf("accel: input length %d, want %d", len(x), m.inDim))
+		case sl.fallback:
+			lane.diff.SoftMVMs++
+			outs[j] = sl.soft.MVM(x)
+		default:
+			outs[j] = lane.scr.outFor(m.outDim)
+			s.imgs = append(s.imgs, mvmImage{out: outs[j], x: x, rng: lane.rng, scr: lane.scr, st: &lane.diff})
 		}
-		lane := ba.lanes[idx[j]]
-		ls := &lane.layer[layer]
-		ba.vj = append(ba.vj, j)
-		ba.pre = append(ba.pre, *ls)
-		ba.vxs = append(ba.vxs, x)
-		ba.vouts = append(ba.vouts, lane.scr.outFor(m.outDim))
-		ba.vrngs = append(ba.vrngs, lane.rng)
-		ba.vsubs = append(ba.vsubs, lane.scr)
-		ba.vsts = append(ba.vsts, ls)
 	}
-	if len(ba.vxs) > 0 {
-		m.MVMBatchInto(ba.vouts, ba.vxs, ba.vrngs, ba.vsubs, ba.vsts, &ba.kn)
+	if len(s.imgs) > 0 {
+		m.mvmBatch(s.imgs, &s.kn)
 	}
-	for k, j := range ba.vj {
-		lane := ba.lanes[idx[j]]
-		ls := &lane.layer[layer]
-		ls.BatchMVMs++
-		lane.stats.Merge(ls.Diff(ba.pre[k]))
-		outs[j] = ba.vouts[k]
+	for _, i := range idx {
+		lane := &s.lanes[i]
+		lane.layer[layer].Merge(lane.diff)
+		s.laneStats(i).Merge(lane.diff)
 	}
 	return outs, errs
 }
 
-// MVMLayerBatch is MVMLayer for several batch lanes at once — the unit the
+// zeroed returns *buf resized to n with every element zeroed.
+func zeroed[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
+	}
+	*buf = (*buf)[:n]
+	clear(*buf)
+	return *buf
+}
+
+// MVMLayer evaluates one mapped layer's matrix-vector product on the
+// session's serial stream (lane 0), returning the output and the ECU stats
+// of this call alone (also merged into the session totals, exactly like a
+// Forward-pass MVM). The returned slice aliases the session's scratch
+// arena and is valid until the session's next MVM. This is the unit of
+// spatial retry: sibling replicas map the same layer shapes but may choose
+// different per-array codes, so the layer MVM is the smallest operation
+// with identical semantics on every replica. Panics if the layer is not
+// mapped or x has the wrong length.
+func (s *Session) MVMLayer(layer int, x []float64) ([]float64, Stats) {
+	s.oneX[0] = x
+	outs, errs := s.batchMVM(layer, s.oneIdx[:], s.oneX[:])
+	if errs != nil {
+		panic(errs[0])
+	}
+	return outs[0], s.lanes[0].diff
+}
+
+// MVMLayerBatch is MVMLayer for several lanes at once — the unit the
 // replica router batches at. idx[j] selects the lane evaluating image j,
 // streams[j] reseeds that lane (the caller derives the per-(image, layer)
-// stream exactly as its serial path would), and outs[j]/diffs[j] receive
-// the output and this call's ECU stats. Outputs alias each lane's arena
-// and are valid until that lane's next MVM. Panics if the layer is not
-// mapped, like MVMLayer.
+// stream), and outs[j]/diffs[j] receive the output and this call's ECU
+// stats. Outputs alias each lane's arena and are valid until that lane's
+// next MVM. Panics like MVMLayer.
 func (s *Session) MVMLayerBatch(layer int, idx []int, streams []uint64, xs [][]float64, outs [][]float64, diffs []Stats) {
-	sl := s.engine.slot(layer)
-	if sl == nil {
-		panic(fmt.Sprintf("accel: layer %d is not mapped", layer))
-	}
-	s.ensureBatch()
-	ba := s.ba
 	high := 0
 	for _, i := range idx {
-		if i >= high {
-			high = i + 1
-		}
+		high = max(high, i+1)
 	}
-	ba.lanesFor(s, high)
+	lanes := s.lanesFor(high)
 	for j, i := range idx {
-		stats.ReseedSub(ba.lanes[i].src, s.engine.cfg.Seed, streams[j])
+		stats.ReseedSub(lanes[i].src, s.engine.cfg.Seed, streams[j])
 	}
-	sl.mu.RLock()
-	defer sl.mu.RUnlock()
-	if sl.fallback {
-		for j, x := range xs {
-			lane := ba.lanes[idx[j]]
-			ls := &lane.layer[layer]
-			pre := *ls
-			ls.SoftMVMs++
-			outs[j] = sl.soft.MVM(x)
-			diffs[j] = ls.Diff(pre)
-			lane.stats.Merge(diffs[j])
+	o, errs := s.batchMVM(layer, idx, xs)
+	for _, err := range errs {
+		if err != nil {
+			panic(err)
 		}
-		return
 	}
-	m := sl.m
-	s.scr.beginKernel()
-	defer s.scr.endKernel()
-	ba.vouts, ba.vrngs, ba.vsubs, ba.vsts, ba.pre = ba.vouts[:0], ba.vrngs[:0], ba.vsubs[:0], ba.vsts[:0], ba.pre[:0]
-	for j := range xs {
-		lane := ba.lanes[idx[j]]
-		ls := &lane.layer[layer]
-		ba.pre = append(ba.pre, *ls)
-		ba.vouts = append(ba.vouts, lane.scr.outFor(m.outDim))
-		ba.vrngs = append(ba.vrngs, lane.rng)
-		ba.vsubs = append(ba.vsubs, lane.scr)
-		ba.vsts = append(ba.vsts, ls)
-	}
-	m.MVMBatchInto(ba.vouts, xs, ba.vrngs, ba.vsubs, ba.vsts, &ba.kn)
-	for j := range xs {
-		lane := ba.lanes[idx[j]]
-		ls := &lane.layer[layer]
-		ls.BatchMVMs++
-		diffs[j] = ls.Diff(ba.pre[j])
-		lane.stats.Merge(diffs[j])
-		outs[j] = ba.vouts[j]
+	copy(outs, o)
+	for j, i := range idx {
+		diffs[j] = s.lanes[i].diff
 	}
 }
 
 // DrainBatchStats returns lane i's accumulated stats since the last drain
-// and resets them (per-layer tallies included) — the batched counterpart
-// of DrainStats, letting a serving worker attribute ECU activity to the
-// individual images of a coalesced batch.
+// and resets them (per-layer tallies included), letting a serving worker
+// attribute ECU activity to the individual images of a pass.
 func (s *Session) DrainBatchStats(i int) Stats {
-	s.ensureBatch()
-	lane := s.ba.lanesFor(s, i+1)[i]
-	st := lane.stats
-	lane.stats = Stats{}
-	for l := range lane.layer {
-		lane.layer[l] = Stats{}
-	}
-	return st
+	clear(s.lanesFor(i + 1)[i].layer)
+	st := s.laneStats(i)
+	out := *st
+	*st = Stats{}
+	return out
 }
 
 // DrainBatchLayerStatsInto drains lane i's per-layer stats into a
-// caller-owned map (cleared first), mirroring DrainLayerStatsInto. Drain
-// it before DrainBatchStats for the same lane — DrainBatchStats resets
-// the per-layer tallies too.
+// caller-owned map (cleared first); layers with no activity are omitted.
+// Drain it before DrainBatchStats for the same lane — DrainBatchStats
+// resets the per-layer tallies too.
 func (s *Session) DrainBatchLayerStatsInto(i int, out map[int]Stats) {
-	s.ensureBatch()
-	lane := s.ba.lanesFor(s, i+1)[i]
+	lane := &s.lanesFor(i + 1)[i]
 	clear(out)
 	for l := range lane.layer {
 		if lane.layer[l] != (Stats{}) {
@@ -378,15 +356,11 @@ func (s *Session) DrainBatchLayerStatsInto(i int, out map[int]Stats) {
 	}
 }
 
-// Close releases the session's batch machinery (parked lane goroutines).
-// A session that never called ForwardBatch has nothing to release. The
-// serial path stays usable after Close; the batched path re-arms lazily.
+// Close releases the lanes beyond the serial stream and every lane's
+// network clone. The session stays usable; later passes re-grow them.
 func (s *Session) Close() {
-	if s.fb != nil {
-		s.fb.Close()
-		s.fb = nil
-		s.ba = nil
-	}
+	s.lanes = []batchLane{s.lanes[0]}
+	s.fb = nn.NewForwardBatcher(s.engine.net, s.engine.Layers())
 }
 
 // ForwardBatch is the one-shot convenience over a throwaway session: map
@@ -394,7 +368,5 @@ func (s *Session) Close() {
 // outs[i] is bit-identical to a serial session's Reseed(streams[i]) +
 // Forward(xs[i]).
 func (e *Engine) ForwardBatch(xs []*nn.Tensor, streams []uint64) ([]*nn.Tensor, []error) {
-	s := e.NewSession(0)
-	defer s.Close()
-	return s.ForwardBatch(xs, streams)
+	return e.NewSession(0).ForwardBatch(xs, streams)
 }

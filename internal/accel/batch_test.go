@@ -1,7 +1,10 @@
 package accel
 
 import (
+	"fmt"
+	"math"
 	"math/rand/v2"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -411,5 +414,121 @@ func BenchmarkForwardBatch(b *testing.B) {
 		if errs[0] != nil {
 			b.Fatal(errs[0])
 		}
+	}
+}
+
+// TestForwardBatchConvMatchesWalk is the lockstep contract on a
+// convolutional net, where every output position of a mapped Conv2D is its
+// own MVM: each image of ForwardBatch, at batch sizes 1, 3 and all, must
+// match a Network.ForwardWith walk over Session.MVMLayer under the same
+// stream, bit for bit and in its stats. Malformed images (a wrong rank,
+// and a wrong size whose convolution makes fewer MVMs than its
+// batchmates') must fail alone.
+func TestForwardBatchConvMatchesWalk(t *testing.T) {
+	rng := rand.New(rand.NewPCG(9, 9))
+	net := &nn.Network{Name: "conv", InShape: []int{1, 6, 6},
+		Layers: []nn.Layer{nn.NewConv2D(1, 3, 3, 3, 1, 1, rng), &nn.ReLU{}, &nn.MaxPool2D{Size: 2},
+			&nn.Flatten{}, nn.NewDense(27, 4, rng)}}
+	cfg := DefaultConfig(SchemeABN(9))
+	cfg.Device.BitsPerCell = 2
+	eng, err := Map(net, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	xs := make([]*nn.Tensor, 7)
+	streams := make([]uint64, len(xs))
+	for i := range xs {
+		xs[i] = nn.NewTensor(1, 6, 6)
+		for j := range xs[i].Data {
+			xs[i].Data[j] = float64((i*5+j*7)%13) / 13
+		}
+		streams[i] = uint64(900 + i)
+	}
+
+	walker := eng.NewSession(0)
+	wnet := eng.InferenceNet()
+	mvms := make([]nn.MVMFunc, len(wnet.Layers))
+	for _, li := range eng.Layers() {
+		li := li
+		mvms[li] = func(x []float64) []float64 {
+			out, _ := walker.MVMLayer(li, x)
+			return out
+		}
+	}
+	want := make([][]float64, len(xs))
+	wantSt := make([]Stats, len(xs))
+	for i, x := range xs {
+		walker.Reseed(streams[i])
+		want[i] = append([]float64(nil), wnet.ForwardWith(x, mvms).Data...)
+		wantSt[i] = walker.DrainStats()
+	}
+	if wantSt[0].GroupReads() == 0 {
+		t.Fatalf("reference walk read no groups: %+v", wantSt[0])
+	}
+
+	check := func(where string, i int, out *nn.Tensor, st Stats) {
+		t.Helper()
+		for j, v := range out.Data {
+			if math.Float64bits(v) != math.Float64bits(want[i][j]) {
+				t.Fatalf("%s image %d logit %d: batch %v, walk %v", where, i, j, v, want[i][j])
+			}
+		}
+		st.BatchMVMs = 0 // marks the kernel path, not part of the answer
+		if st != wantSt[i] {
+			t.Fatalf("%s image %d stats: batch %+v, walk %+v", where, i, st, wantSt[i])
+		}
+	}
+	sess := eng.NewSession(0)
+	for _, size := range []int{1, 3, len(xs)} {
+		for lo := 0; lo < len(xs); lo += size {
+			hi := min(lo+size, len(xs))
+			outs, errs := sess.ForwardBatch(xs[lo:hi], streams[lo:hi])
+			for k := range outs {
+				if errs[k] != nil {
+					t.Fatalf("size %d image %d: %v", size, lo+k, errs[k])
+				}
+				check(fmt.Sprintf("size %d", size), lo+k, outs[k], sess.DrainBatchStats(k))
+			}
+		}
+	}
+
+	batch := []*nn.Tensor{xs[0], nn.NewTensor(36), xs[2], nn.NewTensor(1, 5, 5), xs[4]}
+	bstreams := []uint64{streams[0], 1, streams[2], 2, streams[4]}
+	outs, errs := sess.ForwardBatch(batch, bstreams)
+	for k, i := range []int{0, -1, 2, -1, 4} {
+		if i < 0 {
+			if errs[k] == nil || outs[k] != nil {
+				t.Fatalf("malformed image %d must fail", k)
+			}
+			sess.DrainBatchStats(k)
+			continue
+		}
+		if errs[k] != nil {
+			t.Fatalf("batchmate %d failed: %v", k, errs[k])
+		}
+		check("malformed batch", i, outs[k], sess.DrainBatchStats(k))
+	}
+}
+
+// TestForwardBatchStartsNoGoroutines: the lockstep walk runs on the caller,
+// so a batched pass leaves the goroutine count where it was (no parked
+// lanes to Close).
+func TestForwardBatchStartsNoGoroutines(t *testing.T) {
+	eng, xs := batchTestEngine(t)
+	setPipeHook(t, pipeOff, 0)
+	sess := eng.NewSession(0)
+	streams := make([]uint64, len(xs))
+	for i := range streams {
+		streams[i] = uint64(i + 1)
+	}
+	before := runtime.NumGoroutine()
+	_, errs := sess.ForwardBatch(xs, streams)
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("image %d: %v", i, err)
+		}
+	}
+	if after := runtime.NumGoroutine(); after != before {
+		t.Fatalf("a %d-image ForwardBatch left %d goroutines, %d before", len(xs), after, before)
 	}
 }

@@ -2,7 +2,6 @@ package accel
 
 import (
 	"fmt"
-	"math/rand/v2"
 	"sync"
 
 	"repro/internal/crossbar"
@@ -43,21 +42,6 @@ type layerSlot struct {
 	rebuild func(dev noise.DeviceParams, seed uint64) (*MappedMatrix, error)
 	// mkSoft builds the fallback matrix lazily on first degradation.
 	mkSoft func() (*SoftMatrix, error)
-}
-
-// mvm evaluates one matrix-vector product through the slot's current path.
-// The returned slice aliases the scratch arena (or, on the software
-// fallback, a fresh allocation) and is valid until the arena's next MVM.
-func (sl *layerSlot) mvm(x []float64, rng *stats.FastRand, scr *Scratch, st *Stats) []float64 {
-	sl.mu.RLock()
-	defer sl.mu.RUnlock()
-	if sl.fallback {
-		st.SoftMVMs++
-		return sl.soft.MVM(x)
-	}
-	out := scr.outFor(sl.m.outDim)
-	sl.m.MVMInto(out, x, rng, scr, st)
-	return out
 }
 
 // Engine holds a network whose dense and convolutional layers have been
@@ -392,57 +376,38 @@ func (e *Engine) DegradedLayers() []int {
 	return out
 }
 
-// Session is one concurrent evaluation stream: it owns an RNG, a scratch
-// arena, a forward-pass clone of the network, and its own statistics.
+// Session is one concurrent evaluation stream over the engine: per-lane
+// noise RNGs, scratch arenas and network clones, and its own statistics.
+// Every evaluation is a lockstep walk over lanes 0..B-1 (see batch.go);
+// lane 0 is the serial stream that Reseed, Forward, MVMLayer, DrainStats
+// and Stats read, so a lone image is a batch of one.
 type Session struct {
 	engine *Engine
-	net    *nn.Network
-	// src is the PCG state behind rng; Reseed rewinds it in place instead
-	// of allocating a fresh generator per work item.
-	src *rand.PCG
-	rng *stats.FastRand
-	scr *Scratch
-	// mvms is indexed by layer (nil for unmapped layers).
-	mvms []nn.MVMFunc
-	// layer is indexed by layer (nil for unmapped layers).
-	layer []*Stats
-	// Stats accumulates ECU and row-error tallies across all inputs this
-	// session evaluated.
+	lanes  []batchLane
+	fb     *nn.ForwardBatcher
+	// Stats accumulates the serial stream's (lane 0's) ECU and row-error
+	// tallies across all inputs it evaluated.
 	Stats Stats
-	// fb and ba are the lazily armed batched-forward machinery (see
-	// batch.go): the lockstep forward batcher over per-lane network clones
-	// and the batch-shaped scratch arena. Nil until the first ForwardBatch.
-	fb *nn.ForwardBatcher
-	ba *BatchArena
+	kn    batchKernel
+
+	// reusable per-call state
+	one    [1]*nn.Tensor
+	oneIdx [1]int
+	oneX   [1][]float64
+	outs   [][]float64
+	errs   []error
+	imgs   []mvmImage
+	// one-lane backing of outs and imgs, so a session that only ever
+	// evaluates one image at a time allocates neither
+	outs1 [1][]float64
+	imgs1 [1]mvmImage
 }
 
 // NewSession creates an evaluation stream with its own noise RNG.
 func (e *Engine) NewSession(seed uint64) *Session {
-	src := stats.SubPCG(e.cfg.Seed, seed)
-	s := &Session{
-		engine: e,
-		net:    e.net.CloneForInference(),
-		src:    src,
-		rng:    stats.NewFastRand(src),
-		scr:    NewScratch(),
-		mvms:   make([]nn.MVMFunc, len(e.slots)),
-		layer:  make([]*Stats, len(e.slots)),
-	}
-	s.net.EnableBufferReuse()
-	for idx, sl := range e.slots {
-		if sl == nil {
-			continue
-		}
-		slot := sl
-		ls := &Stats{}
-		s.layer[idx] = ls
-		s.mvms[idx] = func(x []float64) []float64 {
-			pre := *ls
-			out := slot.mvm(x, s.rng, s.scr, ls)
-			s.Stats.Merge(ls.Diff(pre))
-			return out
-		}
-	}
+	s := &Session{engine: e, fb: nn.NewForwardBatcher(e.net, e.Layers())}
+	s.lanes = []batchLane{s.newLane(seed)}
+	s.outs, s.imgs = s.outs1[:0], s.imgs1[:0]
 	return s
 }
 
@@ -450,23 +415,14 @@ func (e *Engine) NewSession(seed uint64) *Session {
 // stream to work items (for example one stream per test image) and make
 // results independent of how work is distributed across sessions.
 func (s *Session) Reseed(stream uint64) {
-	stats.ReseedSub(s.src, s.engine.cfg.Seed, stream)
+	stats.ReseedSub(s.lanes[0].src, s.engine.cfg.Seed, stream)
 }
 
 // DrainStats returns the statistics accumulated since the last drain and
 // resets them (per-layer tallies included), so a serving worker can
 // attribute ECU activity to individual requests. It must be called from
 // the goroutine that owns the session.
-func (s *Session) DrainStats() Stats {
-	st := s.Stats
-	s.Stats = Stats{}
-	for _, ls := range s.layer {
-		if ls != nil {
-			*ls = Stats{}
-		}
-	}
-	return st
-}
+func (s *Session) DrainStats() Stats { return s.DrainBatchStats(0) }
 
 // DrainLayerStats returns the per-layer statistics accumulated since the
 // last drain and resets them (the session totals in Stats are left alone —
@@ -474,7 +430,7 @@ func (s *Session) DrainStats() Stats {
 // activity are omitted. It must be called from the goroutine that owns the
 // session.
 func (s *Session) DrainLayerStats() map[int]Stats {
-	out := make(map[int]Stats, len(s.layer))
+	out := make(map[int]Stats, len(s.engine.slots))
 	s.DrainLayerStatsInto(out)
 	return out
 }
@@ -484,21 +440,17 @@ func (s *Session) DrainLayerStats() map[int]Stats {
 // instead of allocating. The caller must not retain values across the next
 // drain unless it copies them — Stats is a value type, so ordinary reads
 // and Merge calls are safe.
-func (s *Session) DrainLayerStatsInto(out map[int]Stats) {
-	clear(out)
-	for idx, ls := range s.layer {
-		if ls != nil && *ls != (Stats{}) {
-			out[idx] = *ls
-			*ls = Stats{}
-		}
-	}
-}
+func (s *Session) DrainLayerStatsInto(out map[int]Stats) { s.DrainBatchLayerStatsInto(0, out) }
 
-// Forward runs one noisy inference pass.
+// Forward runs one noisy inference pass on the serial stream: a walk of
+// one lane. A malformed input panics.
 func (s *Session) Forward(x *nn.Tensor) *nn.Tensor {
-	s.scr.beginKernel()
-	defer s.scr.endKernel()
-	return s.net.ForwardWith(x, s.mvms)
+	s.one[0] = x
+	outs, errs := s.walk(s.one[:])
+	if errs[0] != nil {
+		panic(errs[0])
+	}
+	return outs[0]
 }
 
 // Predict returns the argmax class under the noisy hardware.

@@ -831,38 +831,17 @@ func (m *MappedMatrix) MVM(x []float64, rng *stats.FastRand, scr *Scratch, st *S
 	return out
 }
 
-// MVMInto is MVM writing into out (len must be the output dimension). A
+// MVMInto is MVM writing into out (len must be the output dimension): the
+// one-image call of the kernel, counting the caller in kernelWorkers. A
 // warm arena makes the whole call allocation-free. While a core is idle,
 // a helper precomputes the groups ahead of the caller's draws (see
 // pipeline.go); the output, the stats and the rng's end state do not
 // depend on whether it does.
 func (m *MappedMatrix) MVMInto(out, x []float64, rng *stats.FastRand, scr *Scratch, st *Stats) {
-	if len(x) != m.inDim {
-		panic(fmt.Sprintf("accel: input length %d, want %d", len(x), m.inDim))
-	}
-	if len(out) != m.outDim {
-		panic(fmt.Sprintf("accel: output length %d, want %d", len(out), m.outDim))
-	}
 	scr.beginKernel()
 	defer scr.endKernel()
-	scr.loadInput(m, x)
-	scr.sn = m.sampler.BinomSnapshot()
-	scr.startPipeline(m)
-	defer scr.endPipeline()
-	gi := 0
-	for c, ch := range m.chunks {
-		masks := scr.masks[c]
-		for _, g := range ch.groups {
-			reads := scr.awaitGroup(gi)
-			for b := range masks {
-				scr.accumulate(g, g.read(m, scr, reads, masks, b, rng, st), b)
-			}
-			scr.releaseGroup(gi)
-			gi++
-		}
-		scr.endChunk(m, c)
-	}
-	scr.dequantize(m, out)
+	img := [1]mvmImage{{out: out, x: x, rng: rng, scr: scr, st: st}}
+	m.mvmBatch(img[:], nil)
 }
 
 // StorageOverhead returns the fraction of programmed cell bits that are

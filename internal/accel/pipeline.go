@@ -6,8 +6,8 @@ import (
 	"sync/atomic"
 )
 
-// A serial MVM splits each group's row reads into a pure half and a draw
-// half. The pure half (group.precompute: active counts, noise aggregates,
+// A one-image MVM splits each group's row reads into a pure half and a
+// draw half. The pure half (group.precompute: active counts, noise aggregates,
 // ideal outputs, stuck deltas, binomial state) touches no RNG; the draw
 // half (group.read) draws every variate on the caller, in row-major,
 // plane, group and chunk order. While the machine has an idle core, a
@@ -16,9 +16,8 @@ import (
 // core is idle the caller fills every slot itself: the same code with zero
 // helpers. Which goroutine fills a slot cannot move a draw.
 
-// kernelWorkers counts the goroutines doing kernel work right now: serial
-// and batched MVM callers, pipeline helpers, and mapping's A-search
-// workers. A session counts for the whole of a forward pass, not only its
+// kernelWorkers counts the goroutines doing kernel work right now: MVM
+// callers, pipeline helpers, and mapping's A-search workers. A session counts for the whole of a forward pass, not only its
 // MVMs, so the layers between MVMs (a convolution's patch gathering
 // between its per-position MVMs) do not read as an idle core. A helper is
 // taken only while the count is below GOMAXPROCS, and hands its remaining

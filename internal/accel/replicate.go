@@ -70,24 +70,3 @@ func (e *Engine) InferenceNet() *nn.Network {
 	n.EnableBufferReuse()
 	return n
 }
-
-// MVMLayer evaluates one mapped layer's matrix-vector product on this
-// session, returning the output and the ECU stats of this call alone (also
-// merged into the session totals, exactly like a Forward-pass MVM). The
-// returned slice aliases the session's scratch arena and is valid until the
-// session's next MVM. This is the unit of spatial retry: sibling replicas
-// map the same layer shapes but may choose different per-array codes, so
-// the layer MVM is the smallest operation with identical semantics on every
-// replica.
-func (s *Session) MVMLayer(layer int, x []float64) ([]float64, Stats) {
-	sl := s.engine.slot(layer)
-	if sl == nil {
-		panic(fmt.Sprintf("accel: layer %d is not mapped", layer))
-	}
-	ls := s.layer[layer]
-	pre := *ls
-	out := sl.mvm(x, s.rng, s.scr, ls)
-	d := ls.Diff(pre)
-	s.Stats.Merge(d)
-	return out, d
-}

@@ -12,9 +12,10 @@ import (
 //
 // Ownership rules:
 //   - One Scratch belongs to exactly one evaluation goroutine (a Session
-//     owns one; so does each serving worker through its Session). It must
-//     never be shared across concurrent MVMs. The pipeline helper an MVM
-//     may borrow (see pipeline.go) works inside that MVM's call only.
+//     owns one per lane; so does each serving worker through its
+//     Session). It must never be shared across concurrent MVMs. The
+//     pipeline helper an MVM may borrow (see pipeline.go) works inside
+//     that MVM's call only.
 //   - Slices returned by MVM-internal paths (group lane reads, mask planes)
 //     alias the arena and are only valid until the next MVM touches it.
 //     The public MVM copies its result into a caller-owned slice; MVMInto

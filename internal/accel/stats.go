@@ -20,9 +20,9 @@ type Stats struct {
 	// fixed-point fallback path instead of the crossbars (degraded mode
 	// after the recovery ladder gives up on a layer's hardware).
 	SoftMVMs uint64
-	// BatchMVMs counts matrix-vector products evaluated through the batched
-	// multi-image kernel (each image's MVM counts once, so the ratio
-	// BatchMVMs / total MVMs is the batched-path coverage).
+	// BatchMVMs counts matrix-vector products evaluated by a multi-image
+	// kernel call (each image's MVM counts once; a one-image call counts
+	// none, so BatchMVMs / total MVMs is the batched-path coverage).
 	BatchMVMs uint64
 }
 
@@ -37,21 +37,6 @@ func (s *Stats) Merge(o Stats) {
 	s.Residual += o.Residual
 	s.SoftMVMs += o.SoftMVMs
 	s.BatchMVMs += o.BatchMVMs
-}
-
-// Diff returns the activity accumulated since a previous snapshot.
-func (s Stats) Diff(prev Stats) Stats {
-	return Stats{
-		RowReads:  s.RowReads - prev.RowReads,
-		RowErrors: s.RowErrors - prev.RowErrors,
-		Clean:     s.Clean - prev.Clean,
-		Corrected: s.Corrected - prev.Corrected,
-		Detected:  s.Detected - prev.Detected,
-		Retries:   s.Retries - prev.Retries,
-		Residual:  s.Residual - prev.Residual,
-		SoftMVMs:  s.SoftMVMs - prev.SoftMVMs,
-		BatchMVMs: s.BatchMVMs - prev.BatchMVMs,
-	}
 }
 
 // GroupReads returns the number of ECU-visible group reads in the block.

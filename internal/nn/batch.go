@@ -1,143 +1,101 @@
 package nn
 
-import "fmt"
+import (
+	"fmt"
+	"runtime"
+	"slices"
+)
 
 // BatchMVMFunc evaluates one mapped layer's MVM for several lockstep
-// forward passes at once. layer is the paused layer's index, idx the lane
-// indices paused there (ascending), and xs their per-lane input vectors
-// (aligned with idx). It returns the per-lane outputs aligned with idx; a
-// nil outs[j] fails lane idx[j] without disturbing its batchmates, with
-// errs[j] (when errs is non-nil) as the reason. Output slices only need to
-// stay valid until the lane's layer copies them (Dense/Conv2D copy the MVM
-// result into their own buffers immediately), so per-lane scratch may be
-// reused across calls.
+// forward passes at once. layer is the layer's index, idx the lane indices
+// evaluated (ascending), and xs their per-lane input vectors (aligned with
+// idx). It returns the per-lane outputs aligned with idx; a nil outs[j]
+// fails lane idx[j] without disturbing its batchmates, with errs[j] (when
+// errs is non-nil) as the reason. Output slices only need to stay valid
+// until the walk stores them (Dense/Conv2D copy the MVM result into their
+// own buffers immediately), so per-lane scratch may be reused across calls.
 type BatchMVMFunc func(layer int, idx []int, xs [][]float64) (outs [][]float64, errs []error)
 
-// fbAbort is the panic sentinel that unwinds a lane out of a forward pass
-// the coordinator has failed (batched-MVM error for that lane).
-type fbAbort struct{}
-
-// fbLane is one parked forward-pass goroutine plus its coordinator-visible
-// mailbox. All mailbox fields are handed off through the start/ready/resume
-// channels, which provide the happens-before edges: the lane writes x/layer
-// before sending ready, the coordinator writes res/abortErr before sending
-// resume.
+// fbLane is one image's forward pass: a private network clone, the
+// activation it has reached, and the mapped layer output under
+// construction.
 type fbLane struct {
-	net  *Network
-	mvms []MVMFunc
-
-	in       *Tensor
-	out      *Tensor
-	err      error
-	x        []float64 // input of the MVM the lane is paused at
-	res      []float64 // coordinator-provided MVM result
-	layer    int
-	waiting  bool // paused at an MVM (vs finished the pass)
-	abort    bool
-	abortErr error
-	done     bool // coordinator-side: no more ready events this run
-
-	start  chan struct{}
-	ready  chan struct{}
-	resume chan struct{}
+	net   *Network
+	x     *Tensor
+	steps mvmSteps // the current mapped layer
+	out   *Tensor
+	n     int // MVMs the current mapped layer makes for this lane
+	err   error
 }
 
-// ForwardBatcher drives B forward passes in lockstep over per-lane clones
-// of one network: every lane runs its digital layers on its own goroutine
-// (private clone, private buffers, no RNG), and parks at each externally
-// mapped layer so the coordinator can evaluate all paused lanes' MVMs in a
-// single batched pass. Every stochastic draw therefore happens on the
-// caller's goroutine, in lane order within each paused group — the outputs
-// are independent of goroutine scheduling.
-//
-// A ForwardBatcher owns parked goroutines: call Close when done with it.
-// It is not safe for concurrent use.
+// ForwardBatcher runs B forward passes in lockstep over per-lane clones of
+// one network, on the caller's goroutine: layer by layer, every live lane
+// runs its digital layers on its own clone, and at a mapped layer MVM k of
+// every lane is evaluated in one batched call (one call per Dense, one per
+// output position of a Conv2D). Each lane's MVMs therefore happen in
+// exactly the order its own serial forward pass makes them, so per-lane
+// noise streams draw what a serial pass would. A panic in a lane's own
+// layers fails that lane alone. It is not safe for concurrent use.
 type ForwardBatcher struct {
-	clone  func() *Network
-	layers []int
-	lanes  []*fbLane
-	closed bool
+	net    *Network // the network every lane clones
+	layers []int    // mapped layer indices
+	lanes  []fbLane
 
-	// reusable per-Run gather state (coordinator-private snapshots: lane
-	// fields must not be read after that lane's resume is sent)
+	// reusable per-Run state
 	outs []*Tensor
 	errs []error
-	pidx []int       // lane index of each lane paused this round
-	play []int       // its paused layer (-2 once served)
-	pxs  [][]float64 // its MVM input
-	idx  []int       // current group: lane indices
-	gj   []int       // current group: positions in pidx
-	xs   [][]float64 // current group: MVM inputs
+	idx  []int
+	xs   [][]float64
+	perr []error
+	// one-lane backing of the slices above, so a batcher that only ever
+	// runs one image at a time (a serial session) allocates none of them
+	outs1 [1]*Tensor
+	errs1 [1]error
+	idx1  [1]int
+	xs1   [1][]float64
 }
 
-// NewForwardBatcher builds a batcher that clones lane networks with clone
-// (typically Network.CloneForInference + EnableBufferReuse) and pauses at
-// the given mapped layer indices. Lanes are spawned lazily as batch sizes
+// NewForwardBatcher builds a batcher whose lanes run buffer-reusing
+// inference clones of net and hand the given mapped layer indices (kept,
+// not copied) to the batched MVM. Lanes are cloned lazily as batch sizes
 // grow and reused across runs.
-func NewForwardBatcher(clone func() *Network, layers []int) *ForwardBatcher {
-	return &ForwardBatcher{clone: clone, layers: append([]int(nil), layers...)}
+func NewForwardBatcher(net *Network, layers []int) *ForwardBatcher {
+	fb := &ForwardBatcher{net: net, layers: layers}
+	fb.outs, fb.errs, fb.idx, fb.xs = fb.outs1[:0], fb.errs1[:0], fb.idx1[:0], fb.xs1[:0]
+	return fb
 }
 
-// grow ensures at least n lanes exist.
-func (fb *ForwardBatcher) grow(n int) {
-	for len(fb.lanes) < n {
-		l := &fbLane{
-			net:    fb.clone(),
-			start:  make(chan struct{}, 1),
-			ready:  make(chan struct{}, 1),
-			resume: make(chan struct{}, 1),
-		}
-		maxLayer := -1
-		for _, li := range fb.layers {
-			if li > maxLayer {
-				maxLayer = li
-			}
-		}
-		l.mvms = make([]MVMFunc, maxLayer+1)
-		for _, li := range fb.layers {
-			layer := li
-			l.mvms[layer] = func(x []float64) []float64 {
-				l.layer = layer
-				l.x = x
-				l.waiting = true
-				l.ready <- struct{}{}
-				<-l.resume
-				if l.abort {
-					panic(fbAbort{})
-				}
-				return l.res
-			}
-		}
-		go l.run()
-		fb.lanes = append(fb.lanes, l)
+// guard turns a panic in the lane's own layer code (an input shape
+// mismatch, say) into the lane's error.
+func (l *fbLane) guard() {
+	if r := recover(); r != nil {
+		l.err = fmt.Errorf("nn: forward lane panic: %v", r)
 	}
 }
 
-// run is the lane goroutine: one forward pass per start token, until the
-// start channel is closed.
-func (l *fbLane) run() {
-	for range l.start {
-		l.out, l.err = l.forward()
-		l.waiting = false
-		l.ready <- struct{}{}
-	}
+func (l *fbLane) forward(layer Layer) {
+	defer l.guard()
+	l.x = layer.Forward(l.x)
 }
 
-// forward runs one pass, converting panics — the coordinator's abort
-// sentinel, or a genuine failure in the lane's own layers (e.g. an input
-// shape mismatch) — into per-lane errors so batchmates are untouched.
-func (l *fbLane) forward() (out *Tensor, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(fbAbort); ok {
-				err = l.abortErr
-			} else {
-				err = fmt.Errorf("nn: batched forward lane panic: %v", r)
-			}
-			out = nil
-		}
-	}()
-	return l.net.ForwardWith(l.in, l.mvms), nil
+func (l *fbLane) begin(layer Layer) {
+	defer l.guard()
+	st, ok := layer.(mvmSteps)
+	if !ok {
+		panic(fmt.Sprintf("nn: layer %s cannot host an external MVM", layer.Name()))
+	}
+	l.steps = st
+	l.out, l.n = st.beginMVMs(l.x)
+}
+
+func (l *fbLane) input(k int) []float64 {
+	defer l.guard()
+	return l.steps.mvmInput(l.x, l.out, k)
+}
+
+func (l *fbLane) output(k int, y []float64) {
+	defer l.guard()
+	l.steps.mvmOutput(l.out, k, y)
 }
 
 // Run executes one lockstep batch. It returns per-image outputs and errors,
@@ -145,112 +103,107 @@ func (l *fbLane) forward() (out *Tensor, err error) {
 // image (bad shape, failed batched MVM) never fails its batchmates. Both
 // returned slices and the output tensors are reused by the next Run.
 func (fb *ForwardBatcher) Run(xs []*Tensor, mvm BatchMVMFunc) ([]*Tensor, []error) {
-	if fb.closed {
-		panic("nn: ForwardBatcher used after Close")
+	if len(xs) == 0 {
+		return fb.outs[:0], fb.errs[:0]
 	}
-	fb.grow(len(xs))
+	for len(fb.lanes) < len(xs) {
+		net := fb.net.CloneForInference()
+		net.EnableBufferReuse()
+		fb.lanes = append(fb.lanes, fbLane{net: net})
+	}
 	lanes := fb.lanes[:len(xs)]
-	for i, l := range lanes {
-		l.in = xs[i]
-		l.out, l.err = nil, nil
-		l.abort, l.abortErr = false, nil
-		l.done = false
-		l.start <- struct{}{}
+	for i := range lanes {
+		lanes[i].x, lanes[i].err = xs[i], nil
 	}
-	live := len(lanes)
-	for live > 0 {
-		// One ready event per live lane: each is now either finished or
-		// paused at a mapped layer. Snapshot the paused lanes' state here —
-		// once a lane is resumed it may race ahead and re-pause, so its
-		// fields must not be read again until its next ready is consumed.
-		fb.pidx, fb.play, fb.pxs = fb.pidx[:0], fb.play[:0], fb.pxs[:0]
-		for i, l := range lanes {
-			if l.done {
-				continue
+	for li := range fb.net.Layers {
+		if slices.Contains(fb.layers, li) {
+			// A multi-image pass holds its core for many images' work, so
+			// it yields the core at each mapped layer: otherwise the
+			// goroutines that feed a serving worker (request handlers,
+			// submitters, workers coalescing their share) wait for the
+			// next preemption tick. A one-image pass does not; yielding
+			// there slows CPU-bound evaluation loops such as the sweep.
+			if len(lanes) > 1 {
+				runtime.Gosched()
 			}
-			<-l.ready
-			if !l.waiting {
-				l.done = true
-				live--
-				continue
-			}
-			fb.pidx = append(fb.pidx, i)
-			fb.play = append(fb.play, l.layer)
-			fb.pxs = append(fb.pxs, l.x)
+			fb.mvmLayer(li, lanes, mvm)
+			continue
 		}
-		// Evaluate paused lanes layer by layer, in lane order — lanes share
-		// one topology so normally all sit at the same layer, but a lane
-		// with a divergent shape must not derail the group.
-		for served := 0; served < len(fb.pidx); {
-			layer := -1
-			fb.idx, fb.gj, fb.xs = fb.idx[:0], fb.gj[:0], fb.xs[:0]
-			for j, ly := range fb.play {
-				if ly == -2 {
-					continue
-				}
-				if layer == -1 {
-					layer = ly
-				}
-				if ly == layer {
-					fb.idx = append(fb.idx, fb.pidx[j])
-					fb.gj = append(fb.gj, j)
-					fb.xs = append(fb.xs, fb.pxs[j])
-				}
-			}
-			outs, errs := fb.callMVM(layer, fb.idx, fb.xs, mvm)
-			for j, i := range fb.idx {
-				l := lanes[i]
-				fb.play[fb.gj[j]] = -2
-				served++
-				switch {
-				case errs != nil && errs[j] != nil:
-					l.abort, l.abortErr = true, errs[j]
-				case outs == nil || outs[j] == nil:
-					l.abort, l.abortErr = true, fmt.Errorf("nn: batched mvm failed at layer %d", layer)
-				default:
-					l.res = outs[j]
-				}
-				l.resume <- struct{}{}
+		for i := range lanes {
+			if l := &lanes[i]; l.err == nil {
+				l.forward(l.net.Layers[li])
 			}
 		}
 	}
-	fb.outs = fb.outs[:0]
-	fb.errs = fb.errs[:0]
-	for _, l := range lanes {
-		fb.outs = append(fb.outs, l.out)
+	fb.outs, fb.errs = fb.outs[:0], fb.errs[:0]
+	for i := range lanes {
+		l := &lanes[i]
+		if l.err != nil {
+			l.x = nil
+		}
+		fb.outs = append(fb.outs, l.x)
 		fb.errs = append(fb.errs, l.err)
 	}
 	return fb.outs, fb.errs
 }
 
+// mvmLayer runs mapped layer li for every live lane: MVM k of all lanes
+// that make a k-th MVM goes out in one batched call.
+func (fb *ForwardBatcher) mvmLayer(li int, lanes []fbLane, mvm BatchMVMFunc) {
+	n := 0
+	for i := range lanes {
+		if l := &lanes[i]; l.err == nil {
+			l.begin(l.net.Layers[li])
+			n = max(n, l.n)
+		}
+	}
+	for k := 0; k < n; k++ {
+		fb.idx, fb.xs = fb.idx[:0], fb.xs[:0]
+		for i := range lanes {
+			l := &lanes[i]
+			if l.err != nil || k >= l.n {
+				continue
+			}
+			if x := l.input(k); l.err == nil {
+				fb.idx = append(fb.idx, i)
+				fb.xs = append(fb.xs, x)
+			}
+		}
+		if len(fb.idx) == 0 {
+			break
+		}
+		outs, errs := fb.callMVM(li, fb.idx, fb.xs, mvm)
+		for j, i := range fb.idx {
+			l := &lanes[i]
+			switch {
+			case errs != nil && errs[j] != nil:
+				l.err = errs[j]
+			case outs == nil || outs[j] == nil:
+				l.err = fmt.Errorf("nn: batched mvm failed at layer %d", li)
+			default:
+				l.output(k, outs[j])
+			}
+		}
+	}
+	for i := range lanes {
+		if l := &lanes[i]; l.err == nil {
+			l.x = l.out
+		}
+	}
+}
+
 // callMVM invokes the batched MVM callback, converting a panic into
-// per-lane failures for just this group.
+// per-lane failures for just this call.
 func (fb *ForwardBatcher) callMVM(layer int, idx []int, xs [][]float64, mvm BatchMVMFunc) (outs [][]float64, errs []error) {
 	defer func() {
 		if r := recover(); r != nil {
 			outs = nil
-			fb.errs = fb.errs[:0]
+			fb.perr = fb.perr[:0]
 			for range idx {
-				fb.errs = append(fb.errs, fmt.Errorf("nn: batched mvm panic at layer %d: %v", layer, r))
+				fb.perr = append(fb.perr, fmt.Errorf("nn: batched mvm panic at layer %d: %v", layer, r))
 			}
-			errs = fb.errs
+			errs = fb.perr
 		}
 	}()
 	return mvm(layer, idx, xs)
-}
-
-// Lanes reports how many lanes have been spawned (test hook).
-func (fb *ForwardBatcher) Lanes() int { return len(fb.lanes) }
-
-// Close releases the parked lane goroutines. The batcher must not be used
-// afterwards.
-func (fb *ForwardBatcher) Close() {
-	if fb.closed {
-		return
-	}
-	fb.closed = true
-	for _, l := range fb.lanes {
-		close(l.start)
-	}
-	fb.lanes = nil
 }

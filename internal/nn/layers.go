@@ -35,12 +35,43 @@ type InferenceLayer interface {
 }
 
 // Param is one trainable weight array with its gradient and momentum state.
+// Grad is allocated by the first Backward and Vel by the first training
+// step, so a network that only loads weights and serves holds neither.
 type Param struct {
 	W, Grad, Vel []float64
 }
 
 func newParam(n int) *Param {
-	return &Param{W: make([]float64, n), Grad: make([]float64, n), Vel: make([]float64, n)}
+	return &Param{W: make([]float64, n)}
+}
+
+// grads returns the gradient buffer, allocating it on first use.
+func (p *Param) grads() []float64 {
+	if p.Grad == nil {
+		p.Grad = make([]float64, len(p.W))
+	}
+	return p.Grad
+}
+
+// mvmSteps is implemented by the layers an engine can take over: their
+// mapped forward pass is a fixed sequence of MVMs, exposed step by step so
+// one walk can run MVM k of several images together. beginMVMs checks the
+// input and returns the output tensor with the pass's MVM count; mvmInput
+// returns MVM k's input vector (valid until the next call); mvmOutput
+// stores MVM k's result.
+type mvmSteps interface {
+	beginMVMs(x *Tensor) (out *Tensor, n int)
+	mvmInput(x, out *Tensor, k int) []float64
+	mvmOutput(out *Tensor, k int, y []float64)
+}
+
+// forwardSteps runs a mapped layer's forward pass with one external MVM.
+func forwardSteps(l mvmSteps, x *Tensor, mvm MVMFunc) *Tensor {
+	out, n := l.beginMVMs(x)
+	for k := 0; k < n; k++ {
+		l.mvmOutput(out, k, mvm(l.mvmInput(x, out, k)))
+	}
+	return out
 }
 
 // Dense is a fully connected layer: y = W*x + b, W is Out x In row-major.
@@ -85,38 +116,47 @@ func (d *Dense) Forward(x *Tensor) *Tensor {
 
 // ForwardWith implements InferenceLayer.
 func (d *Dense) ForwardWith(x *Tensor, mvm MVMFunc) *Tensor {
+	if mvm != nil {
+		return forwardSteps(d, x, mvm)
+	}
+	out, _ := d.beginMVMs(x)
+	for r := 0; r < d.Out; r++ {
+		row := d.Weight.W[r*d.In : (r+1)*d.In]
+		s := 0.0
+		for c, xv := range x.Data {
+			s += row[c] * xv
+		}
+		out.Data[r] = s + d.Bias.W[r]
+	}
+	return out
+}
+
+func (d *Dense) beginMVMs(x *Tensor) (*Tensor, int) {
 	if x.Len() != d.In {
 		panic(fmt.Sprintf("nn: dense input %d, want %d", x.Len(), d.In))
 	}
 	d.lastIn = x
-	out := outVec(&d.outBuf, d.reuse, d.Out)
-	if mvm != nil {
-		copy(out.Data, mvm(x.Data))
-	} else {
-		for r := 0; r < d.Out; r++ {
-			row := d.Weight.W[r*d.In : (r+1)*d.In]
-			s := 0.0
-			for c, xv := range x.Data {
-				s += row[c] * xv
-			}
-			out.Data[r] = s
-		}
+	return outVec(&d.outBuf, d.reuse, d.Out), 1
+}
+
+func (d *Dense) mvmInput(x, _ *Tensor, _ int) []float64 { return x.Data }
+
+func (d *Dense) mvmOutput(out *Tensor, _ int, y []float64) {
+	for r := range out.Data {
+		out.Data[r] = y[r] + d.Bias.W[r]
 	}
-	for r := 0; r < d.Out; r++ {
-		out.Data[r] += d.Bias.W[r]
-	}
-	return out
 }
 
 // Backward implements Layer.
 func (d *Dense) Backward(grad *Tensor) *Tensor {
 	x := d.lastIn
 	din := NewTensor(d.In)
+	wg, bg := d.Weight.grads(), d.Bias.grads()
 	for r := 0; r < d.Out; r++ {
 		g := grad.Data[r]
-		d.Bias.Grad[r] += g
+		bg[r] += g
 		row := d.Weight.W[r*d.In : (r+1)*d.In]
-		grow := d.Weight.Grad[r*d.In : (r+1)*d.In]
+		grow := wg[r*d.In : (r+1)*d.In]
 		for c := 0; c < d.In; c++ {
 			grow[c] += g * x.Data[c]
 			din.Data[c] += g * row[c]
@@ -209,43 +249,49 @@ func (c *Conv2D) Forward(x *Tensor) *Tensor {
 }
 
 // ForwardWith implements InferenceLayer: when mvm is non-nil every patch
-// product K*patch runs on the external engine.
+// product K*patch runs on the external engine, one MVM per output position.
 func (c *Conv2D) ForwardWith(x *Tensor, mvm MVMFunc) *Tensor {
-	c.lastIn = x
-	os := c.OutShape(x.Shape)
-	out := outTensor(&c.outBuf, c.reuse, os)
-	oh, ow := os[1], os[2]
-	pl := c.PatchLen()
-	var patch []float64
-	if c.reuse {
-		if cap(c.patchBuf) < pl {
-			c.patchBuf = make([]float64, pl)
-		}
-		patch = c.patchBuf[:pl]
-	} else {
-		patch = make([]float64, pl)
+	if mvm != nil {
+		return forwardSteps(c, x, mvm)
 	}
-	for oy := 0; oy < oh; oy++ {
-		for ox := 0; ox < ow; ox++ {
-			c.Patch(x, oy, ox, patch)
-			if mvm != nil {
-				ys := mvm(patch)
-				for oc := 0; oc < c.OutC; oc++ {
-					out.SetAt(oc, oy, ox, ys[oc]+c.Bias.W[oc])
-				}
-			} else {
-				for oc := 0; oc < c.OutC; oc++ {
-					row := c.Weight.W[oc*len(patch) : (oc+1)*len(patch)]
-					s := c.Bias.W[oc]
-					for k, pv := range patch {
-						s += row[k] * pv
-					}
-					out.SetAt(oc, oy, ox, s)
-				}
+	out, n := c.beginMVMs(x)
+	ow := out.Shape[2]
+	for k := 0; k < n; k++ {
+		patch := c.mvmInput(x, out, k)
+		for oc := 0; oc < c.OutC; oc++ {
+			row := c.Weight.W[oc*len(patch) : (oc+1)*len(patch)]
+			s := c.Bias.W[oc]
+			for i, pv := range patch {
+				s += row[i] * pv
 			}
+			out.SetAt(oc, k/ow, k%ow, s)
 		}
 	}
 	return out
+}
+
+func (c *Conv2D) beginMVMs(x *Tensor) (*Tensor, int) {
+	c.lastIn = x
+	os := c.OutShape(x.Shape)
+	if pl := c.PatchLen(); !c.reuse || cap(c.patchBuf) < pl {
+		c.patchBuf = make([]float64, pl)
+	}
+	return outTensor(&c.outBuf, c.reuse, os), os[1] * os[2]
+}
+
+// mvmInput gathers the patch of output position k (row-major) into the
+// layer's patch buffer.
+func (c *Conv2D) mvmInput(x, out *Tensor, k int) []float64 {
+	ow := out.Shape[2]
+	c.Patch(x, k/ow, k%ow, c.patchBuf)
+	return c.patchBuf
+}
+
+func (c *Conv2D) mvmOutput(out *Tensor, k int, y []float64) {
+	ow := out.Shape[2]
+	for oc := 0; oc < c.OutC; oc++ {
+		out.SetAt(oc, k/ow, k%ow, y[oc]+c.Bias.W[oc])
+	}
 }
 
 // Backward implements Layer.
@@ -255,6 +301,7 @@ func (c *Conv2D) Backward(grad *Tensor) *Tensor {
 	din := NewTensor(x.Shape...)
 	oh, ow := grad.Shape[1], grad.Shape[2]
 	pl := c.PatchLen()
+	wg, bg := c.Weight.grads(), c.Bias.grads()
 	for oy := 0; oy < oh; oy++ {
 		for ox := 0; ox < ow; ox++ {
 			for oc := 0; oc < c.OutC; oc++ {
@@ -262,9 +309,9 @@ func (c *Conv2D) Backward(grad *Tensor) *Tensor {
 				if g == 0 {
 					continue
 				}
-				c.Bias.Grad[oc] += g
+				bg[oc] += g
 				row := c.Weight.W[oc*pl : (oc+1)*pl]
-				grow := c.Weight.Grad[oc*pl : (oc+1)*pl]
+				grow := wg[oc*pl : (oc+1)*pl]
 				i := 0
 				for ic := 0; ic < c.InC; ic++ {
 					for ky := 0; ky < c.KH; ky++ {

@@ -65,6 +65,9 @@ func Train(n *Network, examples []Example, cfg TrainConfig) float64 {
 			}
 			scale := lr / float64(end-start)
 			for _, p := range params {
+				if p.Vel == nil {
+					p.Vel = make([]float64, len(p.W))
+				}
 				for i := range p.W {
 					p.Vel[i] = cfg.Momentum*p.Vel[i] - scale*p.Grad[i]
 					p.W[i] += p.Vel[i]

@@ -59,7 +59,6 @@ func TestReplicaForwardBatchMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	ses := set2.NewSession(1)
-	defer ses.Close()
 	outs, errs := ses.ForwardBatch(xs, streams)
 	for i := range outs {
 		if errs[i] != nil {
@@ -99,7 +98,6 @@ func TestReplicaForwardBatchFailover(t *testing.T) {
 	}
 	saturate(t, set.Engine(1), 0)
 	ses := set.NewSession(1)
-	defer ses.Close()
 	outs, errs := ses.ForwardBatch(xs, streams)
 	for i := range outs {
 		if errs[i] != nil {
@@ -141,7 +139,6 @@ func TestReplicaForwardBatchVote(t *testing.T) {
 	}
 	saturate(t, set.Engine(0), 0)
 	ses := set.NewSession(1)
-	defer ses.Close()
 	outs, errs := ses.ForwardBatch(xs, streams)
 	for i := range outs {
 		if errs[i] != nil {

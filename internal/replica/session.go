@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/accel"
@@ -17,45 +18,58 @@ import (
 const layerStreamStride = uint64(1) << 40
 
 // Session is one concurrent evaluation stream over a replica set: one
-// accel.Session per replica (each with its own RNG and scratch arena), a
-// private forward-pass network clone, and the per-layer MVM closures that
-// route, fail over, and vote. Like accel.Session it must be driven from a
-// single goroutine.
+// accel.Session per replica (each with its own per-lane RNGs and scratch
+// arenas) and a lockstep walk over per-lane clones of the primary's
+// inference network, whose layer MVMs route, fail over, and vote. A lone
+// image is a batch of one on lane 0. Like accel.Session it must be driven
+// from a single goroutine.
 type Session struct {
-	set  *Set
-	sub  []*accel.Session
-	net  *nn.Network
-	mvms []nn.MVMFunc
-	// stream is the request-level noise stream set by Reseed.
-	stream uint64
+	set *Set
+	sub []*accel.Session
+	fb  *nn.ForwardBatcher
+	// stream is the serial request stream set by Reseed; streams are the
+	// per-lane request streams of the active pass.
+	stream  uint64
+	streams []uint64
 	// flagged counts consecutive detected-uncorrectable evaluations per
 	// layer; it resets when the routed read comes back clean and, at the
 	// vote threshold, escalates the layer to majority voting.
 	flagged []int
 	// tmp stages one sub-session's per-layer drain during the merged drain.
 	tmp map[int]accel.Stats
-	// bs is the batched-forward machinery, armed by the first ForwardBatch.
-	bs *batchState
+	one [1]*nn.Tensor
+
+	// per-dispatch gather scratch (grow-never-shrink)
+	picks []int
+	outs  [][]float64
+	diffs []accel.Stats
+	gIdx  []int
+	gStr  []uint64
+	gXs   [][]float64
+	gOuts [][]float64
+	gDif  []accel.Stats
+	gPos  []int
+
+	// one-image buffers for the failover/vote escalations
+	one1i [1]int
+	one1s [1]uint64
+	one1x [1][]float64
+	one1o [1][]float64
+	one1d [1]accel.Stats
 }
 
 // NewSession creates an evaluation stream across every replica.
 func (s *Set) NewSession(seed uint64) *Session {
+	primary := s.engines[0]
 	ses := &Session{
-		set: s,
-		sub: make([]*accel.Session, len(s.engines)),
-		net: s.engines[0].InferenceNet(),
-		tmp: make(map[int]accel.Stats),
+		set:     s,
+		sub:     make([]*accel.Session, len(s.engines)),
+		fb:      nn.NewForwardBatcher(primary.Network(), primary.Layers()),
+		flagged: make([]int, len(primary.Network().Layers)),
+		tmp:     make(map[int]accel.Stats),
 	}
 	for r, eng := range s.engines {
 		ses.sub[r] = eng.NewSession(seed)
-	}
-	ses.mvms = make([]nn.MVMFunc, len(ses.net.Layers))
-	ses.flagged = make([]int, len(ses.net.Layers))
-	for _, layer := range s.engines[0].Layers() {
-		layer := layer
-		ses.mvms[layer] = func(x []float64) []float64 {
-			return ses.mvmLayer(layer, x)
-		}
 	}
 	return ses
 }
@@ -64,71 +78,167 @@ func (s *Set) NewSession(seed uint64) *Session {
 // derived from it at each evaluation.
 func (s *Session) Reseed(stream uint64) { s.stream = stream }
 
-// eval runs one layer MVM on one replica under the derived per-layer
-// stream, feeds the replica's health monitor, and returns the output (alias
-// of that replica session's scratch arena) with the call's ECU stats.
-func (s *Session) eval(r, layer int, x []float64) ([]float64, accel.Stats) {
-	sub := s.sub[r]
-	sub.Reseed(s.stream ^ uint64(layer+1)*layerStreamStride)
-	out, st := sub.MVMLayer(layer, x)
-	s.set.routed[r].Add(1)
-	s.set.mons[r].ObserveOne(layer, st)
-	return out, st
+// Forward runs one routed inference pass under the Reseed stream: a walk
+// of one lane. The returned tensor is owned by the session and valid until
+// the next pass. A malformed input panics.
+func (s *Session) Forward(x *nn.Tensor) *nn.Tensor {
+	s.one[0] = x
+	s.streams = append(s.streams[:0], s.stream)
+	outs, errs := s.fb.Run(s.one[:], s.BatchMVM)
+	if errs[0] != nil {
+		panic(errs[0])
+	}
+	return outs[0]
 }
 
-// mvmLayer is the routed evaluation of one layer: pick the healthiest live
-// replica; on a detected-uncorrectable read either majority-vote (once the
-// layer is persistently flagged) or re-execute on a sibling whose fault
-// population is independent — spatial first, because temporal retry re-reads
-// the same stuck cells.
-func (s *Session) mvmLayer(layer int, x []float64) []float64 {
-	r := s.set.pick(layer, s.stream)
-	out, st := s.eval(r, layer, x)
-	if st.Detected == 0 {
-		s.flagged[layer] = 0
-		return out
+// ForwardBatch runs one routed noisy inference per input, batched: the
+// images advance in lockstep and at each mapped layer the images are
+// routed one by one (each image's pick is a pure function of set health,
+// layer, and its own stream) and evaluated replica by replica in a single
+// multi-image pass over that replica's arrays. streams[i] plays the role
+// of Reseed(streams[i]) for image i, so on healthy hardware outs[i] is
+// bit-identical to Forward under the same stream. Outputs are valid until
+// the session's next pass. errs[i] is non-nil (and outs[i] nil) when image
+// i alone failed; batchmates are unaffected.
+func (s *Session) ForwardBatch(xs []*nn.Tensor, streams []uint64) ([]*nn.Tensor, []error) {
+	if len(streams) != len(xs) {
+		panic(fmt.Sprintf("replica: %d inputs, %d streams", len(xs), len(streams)))
 	}
-	s.flagged[layer]++
-	if th := s.set.VoteThreshold(); th > 0 && s.flagged[layer] >= th {
-		if v, ok := s.vote(layer, x); ok {
-			return v
+	s.BeginBatch(streams)
+	return s.fb.Run(xs, s.BatchMVM)
+}
+
+// BeginBatch arms an externally coordinated pass (the shard pool's walk):
+// streams[i] is lane i's request stream, playing the role of Reseed per
+// image exactly as in ForwardBatch. Call it once per pass, before the
+// pass's first BatchMVM.
+func (s *Session) BeginBatch(streams []uint64) {
+	s.streams = append(s.streams[:0], streams...)
+}
+
+func (s *Session) grow(n int) {
+	if cap(s.picks) < n {
+		s.picks = make([]int, n)
+		s.outs = make([][]float64, n)
+		s.diffs = make([]accel.Stats, n)
+		s.gIdx = make([]int, 0, n)
+		s.gStr = make([]uint64, 0, n)
+		s.gXs = make([][]float64, 0, n)
+		s.gOuts = make([][]float64, 0, n)
+		s.gDif = make([]accel.Stats, 0, n)
+		s.gPos = make([]int, 0, n)
+	}
+}
+
+// BatchMVM is the routed evaluation of one layer for the lanes idx (lane
+// indices into the pass's streams) on inputs xs: pick a replica per image,
+// evaluate each replica's images in one MVMLayerBatch pass, then walk the
+// images in lane order applying the escalation — on a detected-
+// uncorrectable read either majority-vote (once the layer is persistently
+// flagged) or re-execute on a sibling whose fault population is
+// independent: spatial first, because temporal retry re-reads the same
+// stuck cells. Outputs land in per-lane arenas and stay valid until the
+// lane's next evaluation; the error slice is always nil.
+func (s *Session) BatchMVM(layer int, idx []int, xs [][]float64) ([][]float64, []error) {
+	s.grow(len(s.streams))
+	picks := s.picks[:len(idx)]
+	outs := s.outs[:len(idx)]
+	diffs := s.diffs[:len(idx)]
+	for j, lane := range idx {
+		picks[j] = s.set.pick(layer, s.streams[lane])
+	}
+	// Evaluate each replica's group in one batched pass. Replicas are
+	// visited in first-occurrence order; the result is order-independent
+	// because every image's draws are a pure function of (replica engine,
+	// derived stream).
+	for j := range idx {
+		r := picks[j]
+		if r < 0 {
+			continue // already evaluated as part of an earlier group
+		}
+		s.gIdx, s.gStr, s.gXs = s.gIdx[:0], s.gStr[:0], s.gXs[:0]
+		s.gOuts, s.gDif, s.gPos = s.gOuts[:0], s.gDif[:0], s.gPos[:0]
+		for k := j; k < len(idx); k++ {
+			if picks[k] != r {
+				continue
+			}
+			picks[k] = -1
+			lane := idx[k]
+			s.gIdx = append(s.gIdx, lane)
+			s.gStr = append(s.gStr, s.streams[lane]^uint64(layer+1)*layerStreamStride)
+			s.gXs = append(s.gXs, xs[k])
+			s.gOuts = append(s.gOuts, nil)
+			s.gDif = append(s.gDif, accel.Stats{})
+			s.gPos = append(s.gPos, k)
+		}
+		s.sub[r].MVMLayerBatch(layer, s.gIdx, s.gStr, s.gXs, s.gOuts, s.gDif)
+		s.set.routed[r].Add(uint64(len(s.gIdx)))
+		for g, k := range s.gPos {
+			s.set.mons[r].ObserveOne(layer, s.gDif[g])
+			outs[k] = s.gOuts[g]
+			diffs[k] = s.gDif[g]
+			picks[k] = ^r // remember the evaluator for the escalation walk
 		}
 	}
-	alt, ok := s.set.alternate(layer, s.stream, r)
-	if !ok {
-		return out
+	// Escalation walk, image by image in lane order, sharing the session's
+	// consecutive-flag counters.
+	for j := range idx {
+		r := ^picks[j]
+		st := diffs[j]
+		if st.Detected == 0 {
+			s.flagged[layer] = 0
+			continue
+		}
+		s.flagged[layer]++
+		if th := s.set.VoteThreshold(); th > 0 && s.flagged[layer] >= th {
+			if v, ok := s.vote(layer, idx[j], xs[j]); ok {
+				outs[j] = v
+				continue
+			}
+		}
+		alt, ok := s.set.alternate(layer, s.streams[idx[j]], r)
+		if !ok {
+			continue
+		}
+		s.set.failovers[r].Add(1)
+		out2, st2 := s.eval(alt, layer, idx[j], xs[j])
+		if st2.Detected < st.Detected {
+			outs[j] = out2
+		}
 	}
-	s.set.failovers[r].Add(1)
-	out2, st2 := s.eval(alt, layer, x)
-	if st2.Detected < st.Detected {
-		return out2
-	}
-	return out
+	return outs, nil
 }
 
-// MVMLayer is the routed evaluation of one layer under the session's
-// current request stream — mvmLayer exported for callers that compose
-// their own forward pass over a partition of the network (the shard pool).
-// The returned slice aliases a replica session's scratch arena and is
-// valid until this session's next serial MVM.
-func (s *Session) MVMLayer(layer int, x []float64) []float64 {
-	return s.mvmLayer(layer, x)
+// eval runs one image's layer MVM on replica r under the derived
+// per-layer stream, through the image's own lane so the output lands in
+// that lane's arena (batchmates' outputs stay live), and feeds the
+// replica's health monitor.
+func (s *Session) eval(r, layer, lane int, x []float64) ([]float64, accel.Stats) {
+	s.one1i[0] = lane
+	s.one1s[0] = s.streams[lane] ^ uint64(layer+1)*layerStreamStride
+	s.one1x[0] = x
+	s.one1o[0] = nil
+	s.sub[r].MVMLayerBatch(layer, s.one1i[:], s.one1s[:], s.one1x[:], s.one1o[:], s.one1d[:])
+	s.set.routed[r].Add(1)
+	s.set.mons[r].ObserveOne(layer, s.one1d[0])
+	return s.one1o[0], s.one1d[0]
 }
 
-// vote evaluates the layer on a 3-replica panel and returns the
+// vote evaluates one image's layer on a 3-replica panel and returns the
 // element-wise median, tallying elements where a voter deviates past the
 // tolerance — the signature of a damaged copy whose errors alias into
 // plausible magnitudes. ok is false when fewer than 3 replicas are
-// attached. The three outputs alias three distinct scratch arenas, so they
-// are simultaneously live; the median is written into the first in place.
-func (s *Session) vote(layer int, x []float64) ([]float64, bool) {
+// attached. The three outputs live in three distinct engines' lane arenas,
+// so they are simultaneously valid; the median is written into the first
+// in place.
+func (s *Session) vote(layer, lane int, x []float64) ([]float64, bool) {
 	vs := s.set.voters(layer, 3)
 	if len(vs) < 3 {
 		return nil, false
 	}
-	a, _ := s.eval(vs[0], layer, x)
-	b, _ := s.eval(vs[1], layer, x)
-	c, _ := s.eval(vs[2], layer, x)
+	a, _ := s.eval(vs[0], layer, lane, x)
+	b, _ := s.eval(vs[1], layer, lane, x)
+	c, _ := s.eval(vs[2], layer, lane, x)
 	s.set.votes.Add(1)
 	tol := s.set.cfg.VoteTolerance
 	var dis uint64
@@ -153,28 +263,27 @@ func (s *Session) vote(layer int, x []float64) ([]float64, bool) {
 	return a, true
 }
 
-// Forward runs one routed inference pass. The returned tensor is owned by
-// the session's network clone and valid until the next forward pass.
-func (s *Session) Forward(x *nn.Tensor) *nn.Tensor {
-	return s.net.ForwardWith(x, s.mvms)
-}
+// DrainStats returns the serial stream's ECU statistics accumulated across
+// every replica since the last drain and resets them.
+func (s *Session) DrainStats() accel.Stats { return s.DrainBatchStats(0) }
 
-// DrainStats returns the ECU statistics accumulated across every replica
-// since the last drain and resets them.
-func (s *Session) DrainStats() accel.Stats {
+// DrainBatchStats returns lane i's stats summed across every replica since
+// the last drain and resets them.
+func (s *Session) DrainBatchStats(i int) accel.Stats {
 	var st accel.Stats
 	for _, sub := range s.sub {
-		st.Merge(sub.DrainStats())
+		st.Merge(sub.DrainBatchStats(i))
 	}
 	return st
 }
 
-// DrainLayerStatsInto drains the per-layer statistics of every replica,
-// merged by layer, into the caller-owned map (cleared first).
-func (s *Session) DrainLayerStatsInto(out map[int]accel.Stats) {
+// DrainBatchLayerStatsInto drains lane i's per-layer stats, merged across
+// replicas, into the caller-owned map (cleared first). Call it before
+// DrainBatchStats for the same lane.
+func (s *Session) DrainBatchLayerStatsInto(i int, out map[int]accel.Stats) {
 	clear(out)
 	for _, sub := range s.sub {
-		sub.DrainLayerStatsInto(s.tmp)
+		sub.DrainBatchLayerStatsInto(i, s.tmp)
 		for layer, st := range s.tmp {
 			agg := out[layer]
 			agg.Merge(st)

@@ -130,13 +130,13 @@ func (s *Scheduler) recover(w *workerState, j *job, open []int) (Prediction, err
 		rec.retries.Add(1)
 		retries = attempt
 		s.backoff(attempt, j.seed)
-		pred, perLayer, err := s.evaluateSeed(w, j, j.seed+uint64(attempt)*retrySeedStride)
+		pred, err := s.evaluate(w, j, j.seed+uint64(attempt)*retrySeedStride)
 		if err != nil {
 			return Prediction{}, err
 		}
 		suspect := false
 		for _, layer := range open {
-			if st, ok := perLayer[layer]; !ok || st.DetectedRate() > rec.cfg.Monitor.TripRate {
+			if st, ok := w.perLayer[layer]; !ok || st.DetectedRate() > rec.cfg.Monitor.TripRate {
 				suspect = true
 				break
 			}
@@ -173,7 +173,7 @@ func (s *Scheduler) recover(w *workerState, j *job, open []int) (Prediction, err
 	// Final evaluation on the recovered substrate, back on the request's
 	// own seed so the response stays replayable against the new hardware
 	// state.
-	pred, _, err := s.evaluateSeed(w, j, j.seed)
+	pred, err := s.evaluate(w, j, j.seed)
 	if err != nil {
 		return Prediction{}, err
 	}

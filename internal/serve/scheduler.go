@@ -72,38 +72,33 @@ type job struct {
 // range clients typically use for explicit, reproducible seeds.
 const autoSeedBase = uint64(1) << 32
 
-// poolSession is what a worker needs from its evaluation stream — satisfied
-// by accel.Session (single copy) and replica.Session (routed set), so the
-// R=1 hot path keeps the direct session untouched.
-type poolSession interface {
-	Reseed(stream uint64)
-	DrainStats() accel.Stats
-	DrainLayerStatsInto(out map[int]accel.Stats)
-	Forward(x *nn.Tensor) *nn.Tensor
-}
-
-// batchSession is the batched growth of poolSession: one multi-image pass
-// over the mapped arrays with per-image noise lanes and per-image stat
-// drains. Both session kinds implement it; the interface stays separate so
-// a custom poolSession (tests) still works, served serially.
-type batchSession interface {
-	poolSession
+// session is a worker's evaluation stream: accel.Session (single copy),
+// replica.Session (routed set) or shard.Session (sharded pool). Every pass
+// is a batch — a lone job is a batch of one — with per-image noise lanes
+// and per-image stat drains.
+type session interface {
 	ForwardBatch(xs []*nn.Tensor, streams []uint64) ([]*nn.Tensor, []error)
 	DrainBatchStats(i int) accel.Stats
 	DrainBatchLayerStatsInto(i int, out map[int]accel.Stats)
-	Close()
 }
 
 // workerState is one worker's owned session.
 type workerState struct {
-	sess poolSession
+	sess session
 	// perLayer is the worker's reusable per-request layer-stats map; the
 	// monitor's Observe only reads it, so one map per worker suffices.
 	perLayer map[int]accel.Stats
-	// batch-gather scratch, reused across coalesced batches.
-	bxs      []*nn.Tensor
-	bstreams []uint64
-	bjobs    []*job
+	// pass scratch, reused across passes: the pass's jobs, inputs and
+	// streams, and a copy of its results (a ladder re-evaluation reuses the
+	// session's result slices while later batchmates still need theirs).
+	jobs    []*job
+	xs      []*nn.Tensor
+	streams []uint64
+	outs    []*nn.Tensor
+	errs    []error
+	// one and oneSeed carry a job evaluated alone.
+	one     [1]*nn.Tensor
+	oneSeed [1]uint64
 	// timer is the reusable CoalesceWait timer (allocating one per pass
 	// would put the scheduler loop back on the allocator).
 	timer *time.Timer
@@ -249,7 +244,7 @@ func (s *Scheduler) Canceled() uint64 { return s.canceled.Load() }
 // newSession builds one worker's evaluation stream: a shard-routed session
 // when the pool is sharded, a routed replica session when replication is
 // on, the engine's own session otherwise.
-func (s *Scheduler) newSession(id uint64) poolSession {
+func (s *Scheduler) newSession(id uint64) session {
 	if s.pool != nil {
 		return s.pool.NewSession(id)
 	}
@@ -352,21 +347,13 @@ func (s *Scheduler) submit(ctx context.Context, input *nn.Tensor, seed uint64, t
 }
 
 // worker is one evaluation stream: it owns a session and serves queued jobs
-// until the queue is closed and drained. When the session supports batching
-// it coalesces its fair share of the pending work (plus an optional
-// CoalesceWait window) into one multi-image layer-MVM pass, up to MaxBatch
-// images.
+// until the queue is closed and drained. It coalesces its fair share of the
+// pending work (plus an optional CoalesceWait window) into one multi-image
+// layer-MVM pass, up to MaxBatch images.
 func (s *Scheduler) worker(id uint64) {
 	defer s.wg.Done()
 	w := &workerState{sess: s.newSession(id), perLayer: make(map[int]accel.Stats)}
-	bs, _ := w.sess.(batchSession)
-	if bs != nil {
-		defer bs.Close()
-	}
-	maxB := s.cfg.MaxBatch
-	if bs == nil || maxB < 1 {
-		maxB = 1
-	}
+	maxB := max(1, s.cfg.MaxBatch)
 	batch := make([]*job, 0, maxB)
 	live := make([]*job, 0, maxB)
 	for j := range s.queue {
@@ -395,13 +382,7 @@ func (s *Scheduler) worker(id uint64) {
 			}
 			live = append(live, jb)
 		}
-		if len(live) > 1 && bs != nil {
-			s.serveBatch(w, bs, live, start)
-			continue
-		}
-		for _, jb := range live {
-			s.serveOne(w, jb, start)
-		}
+		s.serve(w, live, start)
 	}
 }
 
@@ -483,106 +464,117 @@ func (s *Scheduler) coalesceWait(w *workerState, batch *[]*job, maxB int) {
 	}
 }
 
-// serveOne evaluates one job on the serial path and answers it.
-func (s *Scheduler) serveOne(w *workerState, j *job, start time.Time) {
-	pred, err := s.serveJob(w, j)
-	if err == nil {
-		pred.QueueWait = start.Sub(j.enqueued)
-		pred.Infer = time.Since(start)
-		s.ecc.Add(pred.Stats)
-	}
-	s.answer(j, jobResult{pred: pred, err: err})
-}
-
-// serveBatch evaluates a coalesced batch in one multi-image pass. Per-image
+// serve evaluates a pass of 1..MaxBatch jobs and answers them. Per-image
 // guarantees survive coalescing: each image keeps its own noise stream and
-// per-lane stats, a failed image falls back to the serial path (which owns
-// the recovery ladder) without disturbing batchmates, and a post-batch
-// breaker trip climbs the same retry → remap → degrade ladder a serial
-// request would.
-func (s *Scheduler) serveBatch(w *workerState, bs batchSession, jobs []*job, start time.Time) {
+// per-lane stats, so its answer is the one it gets alone; a failed image
+// re-evaluates alone through the same path without disturbing batchmates;
+// and a breaker trip climbs the retry → remap → degrade ladder for the
+// image that tripped it.
+func (s *Scheduler) serve(w *workerState, jobs []*job, start time.Time) {
 	if s.cfg.batchHook != nil {
 		s.cfg.batchHook(jobs)
 	}
-	w.bxs, w.bstreams, w.bjobs = w.bxs[:0], w.bstreams[:0], w.bjobs[:0]
+	w.jobs, w.xs, w.streams = w.jobs[:0], w.xs[:0], w.streams[:0]
 	for _, j := range jobs {
 		// A client can vanish between the dequeue-time filter and here — a
 		// coalesce wait, or batchmates' ladder work on this worker's previous
-		// pass. Dropping the job now keeps the multi-image pass from burning
-		// a lane on an answer nobody reads, and keeps its MVMs out of the
-		// batch telemetry.
+		// pass. Dropping the job now keeps the pass from burning a lane on an
+		// answer nobody reads, and keeps its MVMs out of the batch telemetry.
 		if j.ctx != nil && j.ctx.Err() != nil {
 			s.cancel(j)
 			continue
 		}
-		w.bjobs = append(w.bjobs, j)
-		w.bxs = append(w.bxs, j.input)
-		w.bstreams = append(w.bstreams, j.seed)
+		w.jobs = append(w.jobs, j)
+		w.xs = append(w.xs, j.input)
+		w.streams = append(w.streams, j.seed)
 	}
-	jobs = w.bjobs
-	switch len(jobs) {
-	case 0:
-		return
-	case 1:
-		// A lone survivor gets the serial path — same answer, no batch
-		// machinery.
-		s.serveOne(w, jobs[0], start)
-		return
-	}
-	outs, errs := s.forwardBatch(bs, w.bxs, w.bstreams)
-	for i, j := range jobs {
-		failed := outs == nil || outs[i] == nil || (errs != nil && errs[i] != nil)
-		if failed {
-			// Discard the lane's partial stats, then let the serial path —
-			// ladder included — re-evaluate this image alone. Batchmates'
-			// outputs live in their own lanes and are untouched.
-			bs.DrainBatchStats(i)
-			s.serveOne(w, j, start)
-			continue
-		}
-		k := j.topK
-		if k <= 0 {
-			k = s.cfg.TopK
-		}
-		topk := outs[i].TopK(k)
-		bs.DrainBatchLayerStatsInto(i, w.perLayer)
-		pred := Prediction{Class: topk[0], TopK: topk, Seed: j.seed, Stats: bs.DrainBatchStats(i)}
-		var err error
-		if s.rec != nil {
-			if open := s.rec.mon.Observe(w.perLayer); len(open) > 0 {
-				pred, err = s.recover(w, j, open)
-			}
+	outs, errs := s.forward(w, w.xs, w.streams)
+	w.outs = append(w.outs[:0], outs...)
+	w.errs = append(w.errs[:0], errs...)
+	for i, j := range w.jobs {
+		pred, err := s.predict(w, i, j, j.seed, w.outs[i], w.errs[i])
+		if err != nil && len(w.jobs) > 1 {
+			pred, err = s.evaluate(w, j, j.seed)
 		}
 		if err == nil {
-			if sick := s.openReplicaLayers(); len(sick) > 0 {
-				s.maintainReplicas(sick)
-			}
-			if pred.Stats.SoftMVMs > 0 {
-				pred.Degraded = s.eng.DegradedLayers()
-			}
+			pred, err = s.ladder(w, j, pred)
+		}
+		if err == nil {
 			pred.QueueWait = start.Sub(j.enqueued)
 			pred.Infer = time.Since(start)
 			s.ecc.Add(pred.Stats)
-			// BatchMVMs marks which path served the image — pool telemetry,
-			// not part of the answer. Stripping it keeps the per-request
-			// Stats a pure function of (engine, seed), identical whether the
-			// image was coalesced or served alone.
+			// BatchMVMs marks which kernel served the image — pool
+			// telemetry, not part of the answer. Stripping it keeps the
+			// per-request Stats a pure function of (engine, seed),
+			// identical whether the image was coalesced or served alone.
 			pred.Stats.BatchMVMs = 0
 		}
 		s.answer(j, jobResult{pred: pred, err: err})
 	}
 }
 
-// forwardBatch shields the pool from a coordinator-side panic: when the
-// batched pass itself blows up, every image is reported failed and retried
-// serially by the caller.
-func (s *Scheduler) forwardBatch(bs batchSession, xs []*nn.Tensor, streams []uint64) (outs []*nn.Tensor, errs []error) {
+// forward runs one pass on the worker's session, shielding the pool from a
+// coordinator-side panic: when the pass itself blows up, every image is
+// reported failed.
+func (s *Scheduler) forward(w *workerState, xs []*nn.Tensor, streams []uint64) (outs []*nn.Tensor, errs []error) {
 	defer func() {
 		if r := recover(); r != nil {
-			outs, errs = nil, nil
+			outs, errs = make([]*nn.Tensor, len(xs)), make([]error, len(xs))
+			for i := range errs {
+				errs[i] = fmt.Errorf("pass failed: %v", r)
+			}
 		}
 	}()
-	return bs.ForwardBatch(xs, streams)
+	return w.sess.ForwardBatch(xs, streams)
+}
+
+// evaluate runs job j alone under seed: a failed batchmate's second try,
+// and the ladder's re-evaluations.
+func (s *Scheduler) evaluate(w *workerState, j *job, seed uint64) (Prediction, error) {
+	w.one[0], w.oneSeed[0] = j.input, seed
+	outs, errs := s.forward(w, w.one[:], w.oneSeed[:])
+	return s.predict(w, 0, j, seed, outs[0], errs[0])
+}
+
+// predict turns lane i of the last pass, evaluated under seed, into job
+// j's prediction and drains the lane's stats, per layer into w.perLayer.
+// A failed lane's partial stats are discarded.
+func (s *Scheduler) predict(w *workerState, i int, j *job, seed uint64, out *nn.Tensor, err error) (Prediction, error) {
+	if err != nil {
+		w.sess.DrainBatchStats(i)
+		return Prediction{}, fmt.Errorf("serve: inference failed: %w", err)
+	}
+	k := j.topK
+	if k <= 0 {
+		k = s.cfg.TopK
+	}
+	topk := out.TopK(k)
+	w.sess.DrainBatchLayerStatsInto(i, w.perLayer)
+	return Prediction{Class: topk[0], TopK: topk, Seed: seed, Stats: w.sess.DrainBatchStats(i)}, nil
+}
+
+// ladder feeds the health monitor with the request's per-layer outcomes
+// (w.perLayer) and climbs the ladder if they tripped a breaker. It then
+// polls the per-replica breakers — the router keeps answers clean by
+// steering around a sick replica, which also keeps the damage below the
+// request-level trip rate, so degraded redundancy is not visible in this
+// request's stats — and flags an answer served in part by software.
+func (s *Scheduler) ladder(w *workerState, j *job, pred Prediction) (Prediction, error) {
+	if s.rec != nil {
+		if open := s.rec.mon.Observe(w.perLayer); len(open) > 0 {
+			var err error
+			if pred, err = s.recover(w, j, open); err != nil {
+				return pred, err
+			}
+		}
+	}
+	if sick := s.openReplicaLayers(); len(sick) > 0 {
+		s.maintainReplicas(sick)
+	}
+	if pred.Stats.SoftMVMs > 0 {
+		pred.Degraded = s.eng.DegradedLayers()
+	}
+	return pred, nil
 }
 
 // answer updates the drain accounting and then delivers one result. The
@@ -602,56 +594,6 @@ func (s *Scheduler) cancel(j *job) {
 	s.canceled.Add(1)
 	s.inflight.Add(-1)
 	j.resp <- jobResult{err: j.ctx.Err()}
-}
-
-// serveJob evaluates one request and, when recovery is enabled, feeds the
-// health monitor and climbs the ladder if this request's ECU outcomes
-// tripped a breaker.
-func (s *Scheduler) serveJob(w *workerState, j *job) (Prediction, error) {
-	pred, perLayer, err := s.evaluateSeed(w, j, j.seed)
-	if err != nil || s.rec == nil {
-		return pred, err
-	}
-	if open := s.rec.mon.Observe(perLayer); len(open) > 0 {
-		pred, err = s.recover(w, j, open)
-		if err != nil {
-			return pred, err
-		}
-	}
-	// The router keeps answers clean by steering around a sick replica,
-	// which also keeps the damage below the request-level trip rate — so
-	// degraded redundancy must be polled from the per-replica breakers, not
-	// inferred from this request's stats.
-	if sick := s.openReplicaLayers(); len(sick) > 0 {
-		s.maintainReplicas(sick)
-	}
-	if pred.Stats.SoftMVMs > 0 {
-		pred.Degraded = s.eng.DegradedLayers()
-	}
-	return pred, nil
-}
-
-// evaluateSeed runs one inference on the worker's session under an explicit
-// noise stream, converting panics (malformed tensors reaching the MVM
-// layer) into errors so one bad request cannot take the pool down. It
-// returns the request's own stats, total and per layer.
-func (s *Scheduler) evaluateSeed(w *workerState, j *job, seed uint64) (pred Prediction, perLayer map[int]accel.Stats, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("serve: inference failed: %v", r)
-		}
-	}()
-	sess := w.sess
-	sess.Reseed(seed)
-	sess.DrainStats()
-	logits := sess.Forward(j.input)
-	k := j.topK
-	if k <= 0 {
-		k = s.cfg.TopK
-	}
-	topk := logits.TopK(k)
-	sess.DrainLayerStatsInto(w.perLayer)
-	return Prediction{Class: topk[0], TopK: topk, Seed: seed, Stats: sess.DrainStats()}, w.perLayer, nil
 }
 
 // DrainSummary reports what a Close drained — and what it had to abandon

@@ -10,8 +10,8 @@ import (
 // TestPoolSessionAllocParity is the hot-path gate for the routing layer: a
 // warm pool session's Forward and ForwardBatch must allocate no more than
 // the bare replica session it delegates to. Every routing structure — the
-// owner table, the per-layer MVM closures, the lockstep batcher — is built
-// at session construction; steady state only walks them.
+// owner table, the lockstep walk — is built at session construction; steady
+// state only walks them.
 func TestPoolSessionAllocParity(t *testing.T) {
 	setSes := func() interface {
 		Reseed(uint64)

@@ -65,8 +65,8 @@ type Pool struct {
 	// owner maps layer index -> owning shard id (-1 for unmapped layers);
 	// dense so the per-MVM route is a bounds check, like engine slots.
 	owner []int
-	// layers is every mapped layer in ascending order (the batcher's pause
-	// points).
+	// layers is every mapped layer in ascending order (the layers the walk
+	// hands to the shards).
 	layers []int
 }
 

@@ -98,7 +98,6 @@ func TestShardCountInvariance(t *testing.T) {
 					n, stream, outs[i].Data, ref[stream])
 			}
 		}
-		ses.Close()
 	}
 }
 
