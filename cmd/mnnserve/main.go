@@ -42,8 +42,9 @@
 //
 // -shards N splits the model's layers into N contiguous fault domains, each
 // owning its own replica set, breakers, scrubber rotation, and persistence
-// slice. A sick shard is drained, repaired, and rejoined — or degraded to
-// software — without touching its siblings, and per-request outputs are
+// slice. The recovery ladder repairs a sick layer inside its own shard, an
+// operator can drain, repair, and rejoin a whole shard without touching its
+// siblings, and per-request outputs are
 // bit-identical at any shard count. -admin exposes the operator API for
 // exactly those moves, plus a workload registry that loads and evicts
 // additional models behind the same listener:
@@ -400,10 +401,14 @@ func run(args []string) error {
 		fmt.Fprintf(os.Stderr, "recovery ladder: %d retries, %d failovers, %d remaps, %d degrades\n",
 			rc.Retries, rc.Failovers, rc.Remaps, rc.Degrades)
 	}
-	if set := srv.Scheduler().ReplicaSet(); set != nil {
-		st := set.Status()
+	if *replicas > 1 {
+		var votes, disagreements uint64
+		for _, set := range srv.Scheduler().ReplicaSets() {
+			st := set.Status()
+			votes, disagreements = votes+st.Votes, disagreements+st.Disagreements
+		}
 		fmt.Fprintf(os.Stderr, "replica votes: %d rounds, %d disagreeing elements\n",
-			st.Votes, st.Disagreements)
+			votes, disagreements)
 	}
 	return nil
 }

@@ -5,14 +5,17 @@ import (
 	"errors"
 	"os"
 	"testing"
+
+	"repro/internal/replica"
+	"repro/internal/shard"
 )
 
 // FuzzSnapshotRestore is the corruption-safety contract: for arbitrary
 // input bytes, Decode either returns a state tree that re-encodes to a
 // valid envelope, or a typed refusal (ErrCorrupt / ErrVersion). No input
 // may restore silently wrong — a payload that passes must survive a full
-// decode→encode→decode round trip with the engine/replica shape invariant
-// intact.
+// decode→encode→decode round trip carrying exactly one engine-topology
+// section.
 func FuzzSnapshotRestore(f *testing.F) {
 	// Seed the corpus with a valid envelope and near-miss mutants so the
 	// fuzzer starts at the interesting boundary instead of random noise.
@@ -28,6 +31,11 @@ func FuzzSnapshotRestore(f *testing.F) {
 	f.Add([]byte("MNNSNAP 1 00 0\n"))
 	f.Add([]byte("MNNSNAP 999 deadbeef 4\nnull"))
 	f.Add([]byte{})
+	sharded, err := Encode(shardState())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(sharded)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st, err := Decode(data)
@@ -41,9 +49,9 @@ func FuzzSnapshotRestore(f *testing.F) {
 			return
 		}
 		// Accepted: the invariants Decode promises must hold.
-		if (st.Engine == nil) == (st.Replicas == nil) {
-			t.Fatalf("accepted snapshot violates exactly-one-engine-shape: engine=%v replicas=%v",
-				st.Engine != nil, st.Replicas != nil)
+		if (st.Engine == nil) == (st.Shards == nil) {
+			t.Fatalf("accepted snapshot violates exactly-one-engine-shape: engine=%v shards=%v",
+				st.Engine != nil, st.Shards != nil)
 		}
 		// And it must round-trip: re-encoding and re-decoding yields the
 		// same bytes, so nothing was silently dropped or reinterpreted.
@@ -63,4 +71,16 @@ func FuzzSnapshotRestore(f *testing.F) {
 			t.Fatal("decode→encode not a fixed point")
 		}
 	})
+}
+
+// shardState is sampleState in the shape serve writes: its engine moved
+// under a pool of one shard with one copy.
+func shardState() *State {
+	st := sampleState()
+	st.Shards = &shard.PoolState{Shards: []shard.ShardSnap{{
+		Layers:   []int{0},
+		Replicas: replica.SetState{Replicas: []replica.ReplicaState{{Attached: true, Engine: *st.Engine}}},
+	}}}
+	st.Engine = nil
+	return st
 }

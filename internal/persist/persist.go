@@ -29,14 +29,14 @@ import (
 
 	"repro/internal/accel"
 	"repro/internal/fault"
-	"repro/internal/replica"
 	"repro/internal/scrub"
 	"repro/internal/shard"
 )
 
 // SchemaVersion is bumped whenever the payload layout changes
-// incompatibly; older snapshots are refused, never reinterpreted.
-const SchemaVersion = 1
+// incompatibly; older snapshots are refused, never reinterpreted. Version 2
+// dropped the replica-set section: serving snapshots always carry Shards.
+const SchemaVersion = 2
 
 // magic is the header sentinel.
 const magic = "MNNSNAP"
@@ -93,16 +93,16 @@ type ControllerState struct {
 }
 
 // State is the full durable state of one serving stack. Exactly one of
-// Engine (single-copy), Replicas (replicated), or Shards (sharded pool) is
-// set — the section is the topology fingerprint, so a snapshot can never be
-// poured into a pool partitioned differently. Optional sections are nil
-// when the corresponding subsystem was not armed.
+// Engine (a bare engine, as offline checkpoints write it) or Shards (a
+// serving pool: shard count, layer slices and every copy) is set — the
+// section is the topology fingerprint, so a snapshot can never be poured
+// into a pool partitioned differently. Optional sections are nil when the
+// corresponding subsystem was not armed.
 type State struct {
 	// Workload labels the snapshot for operators; the binding identity
 	// checks (seed, scheme, network) live in the engine states.
 	Workload   string              `json:"workload,omitempty"`
 	Engine     *accel.EngineState  `json:"engine,omitempty"`
-	Replicas   *replica.SetState   `json:"replicas,omitempty"`
 	Shards     *shard.PoolState    `json:"shards,omitempty"`
 	Monitor    *fault.MonitorState `json:"monitor,omitempty"`
 	Recovery   *RecoveryState      `json:"recovery,omitempty"`
@@ -170,16 +170,10 @@ func Decode(data []byte) (*State, error) {
 	if err := dec.Decode(&st); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	topologies := 0
-	for _, set := range []bool{st.Engine != nil, st.Replicas != nil, st.Shards != nil} {
-		if set {
-			topologies++
-		}
-	}
-	if topologies > 1 {
+	if st.Engine != nil && st.Shards != nil {
 		return nil, fmt.Errorf("%w: snapshot carries more than one engine-topology section", ErrCorrupt)
 	}
-	if topologies == 0 {
+	if st.Engine == nil && st.Shards == nil {
 		return nil, fmt.Errorf("%w: snapshot carries no engine state", ErrCorrupt)
 	}
 	return &st, nil

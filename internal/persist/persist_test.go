@@ -82,7 +82,8 @@ func TestDecodeRefusesVersionMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bumped := bytes.Replace(data, []byte("MNNSNAP 1 "), []byte("MNNSNAP 2 "), 1)
+	bumped := bytes.Replace(data, []byte(fmt.Sprintf("MNNSNAP %d ", SchemaVersion)),
+		[]byte(fmt.Sprintf("MNNSNAP %d ", SchemaVersion+1)), 1)
 	if bytes.Equal(bumped, data) {
 		t.Fatal("test setup: version field not found in header")
 	}
@@ -133,7 +134,7 @@ func TestDecodeRefusesCorruption(t *testing.T) {
 			return envelope(t, []byte(`{"scheduler":{"served":1}}`))
 		},
 		"both engine sections": func() []byte {
-			return envelope(t, []byte(`{"engine":{"seed":1,"scheme":"s","network":"n"},"replicas":{"replicas":[]},"scheduler":{}}`))
+			return envelope(t, []byte(`{"engine":{"seed":1,"scheme":"s","network":"n"},"shards":{"shards":[]},"scheduler":{}}`))
 		},
 	}
 	for name, build := range cases {

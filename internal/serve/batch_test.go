@@ -357,3 +357,40 @@ func TestBatchDropsCanceledBatchmates(t *testing.T) {
 		}
 	}
 }
+
+// TestServeAnswersReplayOnEngineSession is the replay contract an operator
+// relies on: with the ladder armed, two workers and coalescing on, every
+// answer of a bare pool equals a fresh engine session reseeded to the
+// answer's stream — class and ECU tallies alike.
+func TestServeAnswersReplayOnEngineSession(t *testing.T) {
+	eng, _ := testEngine(t, 0)
+	s, err := NewScheduler(eng, Config{Workers: 2, MaxBatch: 8, QueueDepth: 64,
+		QueueTimeout: time.Minute, Recovery: RecoveryConfig{Enabled: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close(context.Background())
+	inputs := make([]*nn.Tensor, 48)
+	for i := range inputs {
+		inputs[i] = testInput(uint64(i))
+	}
+	preds, err := s.PredictBatch(context.Background(), inputs, 9000, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rc := s.RecoveryCounters(); rc.Remaps+rc.Degrades > 0 {
+		t.Fatalf("the ladder changed the hardware under earlier answers: %+v", rc)
+	}
+	sess := eng.NewSession(0)
+	for i, p := range preds {
+		sess.Reseed(p.Seed)
+		sess.DrainStats()
+		class := sess.Forward(inputs[i]).TopK(1)[0]
+		st := sess.DrainStats()
+		st.BatchMVMs = 0
+		if class != p.Class || st != p.Stats {
+			t.Fatalf("image %d seed %d: served class %d %+v, replay class %d %+v",
+				i, p.Seed, p.Class, p.Stats, class, st)
+		}
+	}
+}

@@ -66,19 +66,20 @@ type Config struct {
 	// errors can trip a breaker. Disabled by default for the same
 	// determinism reason.
 	Scrub ScrubConfig
-	// Replicas programs the network onto N independent array sets fronted
-	// by a health-aware router: spatial failover ahead of the temporal
-	// ladder, majority voting for persistently flagged layers, and
+	// Replicas programs every shard's layers onto N independent array sets
+	// fronted by a health-aware router: spatial failover ahead of the
+	// temporal ladder, majority voting for persistently flagged layers, and
 	// detach-for-maintenance without pausing traffic. N <= 1 (the default)
-	// keeps the single-copy path byte for byte. With Shards > 0 this is the
-	// per-shard replication factor instead.
+	// is one copy per shard; with Shards 0 as well, that is the bare
+	// engine, evaluated on its own session byte for byte.
 	Replicas replica.Config
 	// Shards partitions the mapped layers into that many contiguous fault
 	// domains, each with its own replica set, routing breakers, scrubber
 	// rotation, and persistence section — drainable, repairable, and
-	// rejoinable at runtime without touching siblings. 0 (the default)
-	// keeps the unsharded topologies byte for byte; predictions are
-	// bit-identical at any shard count.
+	// rejoinable through /admin/shards without touching siblings. 0 (the
+	// default) runs the same pool as 1, but /admin/shards does not address
+	// it and, unreplicated, it answers on the engine session. Predictions
+	// are bit-identical at any shard count >= 1, and at 0 when replicated.
 	Shards int
 	// Admin registers the operator API (/admin/shards, /admin/models) on
 	// the server mux. Off by default: mutation endpoints on a serving port

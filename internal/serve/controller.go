@@ -171,7 +171,7 @@ type ControllerStatus struct {
 	MaxLevel int
 	// ScrubInterval is the live patrol cadence (0 when scrubbing is off).
 	ScrubInterval time.Duration
-	// VoteThreshold is the live replica vote trigger (-1 without a set).
+	// VoteThreshold is the live replica vote trigger (-1 on a bare pool).
 	VoteThreshold int
 	// Ticks counts decision-loop iterations.
 	Ticks uint64
@@ -215,12 +215,7 @@ func newController(sched *Scheduler, cfg ControllerConfig) *controller {
 			c.cfg.MinScrubInterval = c.baseScrub / 8
 		}
 	}
-	if sched.set != nil {
-		c.baseVote = sched.set.Config().VoteThreshold
-	}
-	if sched.pool != nil {
-		c.baseVote = sched.pool.Config().Replicas.VoteThreshold
-	}
+	c.baseVote = sched.cfg.Replicas.VoteThreshold
 	return c
 }
 
@@ -322,9 +317,7 @@ func (c *controller) observe() ctlObservation {
 		}
 		obs.openBreakers = s.rec.mon.OpenCount()
 	}
-	if s.set != nil {
-		obs.openBreakers += len(s.set.OpenLayers())
-	}
+	obs.openBreakers += len(s.openReplicaLayers())
 	return obs
 }
 
@@ -383,13 +376,8 @@ func (c *controller) applyLevel(level int) {
 		}
 		c.sched.pat.setInterval(d)
 	}
-	if c.sched.set != nil {
-		c.sched.set.SetVoteThreshold(c.voteFor(level))
-	}
-	if pool := c.sched.pool; pool != nil {
-		for i := 0; i < pool.Size(); i++ {
-			pool.Shard(i).Set().SetVoteThreshold(c.voteFor(level))
-		}
+	for _, set := range c.sched.ReplicaSets() {
+		set.SetVoteThreshold(c.voteFor(level))
 	}
 }
 
@@ -440,16 +428,8 @@ func (c *controller) predictAndPreempt() string {
 		if lr.Reads == 0 || lr.Detected == 0 || s.eng.Fallback(lr.Layer) {
 			continue
 		}
-		var err error
-		if set := s.replicaSetFor(lr.Layer); set != nil {
-			err = set.SetFallback(lr.Layer, true)
-		} else {
-			err = s.eng.SetFallback(lr.Layer, true)
-		}
-		if err == nil {
-			if s.rec != nil {
-				s.rec.degrades.Add(1)
-			}
+		if set := s.setFor(lr.Layer); set != nil && set.SetFallback(lr.Layer, true) == nil {
+			s.rec.degrades.Add(1)
 			return "degrade"
 		}
 	}
@@ -461,21 +441,16 @@ func (c *controller) predictAndPreempt() string {
 // rotate out the sickest copy on the worst-measured layer. Returns replicas
 // repaired and verified clean.
 func (s *Scheduler) proactiveRepair() int {
-	if (s.set == nil && s.pool == nil) || s.rec == nil {
-		return 0
-	}
 	s.escMu.Lock()
 	defer s.escMu.Unlock()
 	repaired := 0
 	open := s.openReplicaLayers()
 	for _, layer := range open {
-		if set := s.replicaSetFor(layer); set != nil {
-			repaired += s.repairSetLayer(set, layer, true)
-		}
+		repaired += s.repairSetLayer(s.setFor(layer), layer, true)
 	}
-	if repaired == 0 && len(open) == 0 {
+	if len(open) == 0 {
 		if layer, ok := s.worstMeasuredLayer(); ok {
-			if set := s.replicaSetFor(layer); set != nil {
+			if set := s.setFor(layer); set != nil {
 				repaired += s.repairSetLayer(set, layer, false)
 			}
 		}
@@ -510,13 +485,10 @@ func (c *controller) status() ControllerStatus {
 		Ticks:         c.ticks,
 		Decisions:     make(map[string]uint64, len(c.decisions)),
 	}
-	if c.sched.set != nil {
-		st.VoteThreshold = c.sched.set.VoteThreshold()
-	}
-	if pool := c.sched.pool; pool != nil {
+	if !c.sched.bare() {
 		// Shards share one controller level, so any shard's live threshold
 		// is the pool's.
-		st.VoteThreshold = pool.Shard(0).Set().VoteThreshold()
+		st.VoteThreshold = c.sched.pool.Shard(0).Set().VoteThreshold()
 	}
 	for k, v := range c.decisions {
 		st.Decisions[k] = v

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -183,6 +184,41 @@ func TestControllerManualActuation(t *testing.T) {
 	}
 	if st.VoteThreshold != -1 {
 		t.Fatalf("vote threshold %d without a replica set, want -1", st.VoteThreshold)
+	}
+}
+
+// TestControllerSeesShardReplicaBreakers: an open per-replica routing
+// breaker is pressure whatever the pool's shape. Replica 1's breaker on
+// layer 0 must tighten the level and then be repaired, sharded or not.
+func TestControllerSeesShardReplicaBreakers(t *testing.T) {
+	for _, shards := range []int{0, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			eng := quietEngine4(t)
+			cfg := shardTestConfig(shards)
+			cfg.Workers = 1
+			cfg.Controller = ControllerConfig{Enabled: true, Manual: true}
+			s, err := NewScheduler(eng, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close(context.Background())
+			set := s.ReplicaSet()
+			if shards > 0 {
+				set = s.ShardPool().Owner(0).Set()
+			}
+			set.Monitor(1).Observe(map[int]accel.Stats{0: {Clean: 10, Detected: 10}})
+			var acts []string
+			for i := 0; i < 3; i++ {
+				a, err := s.ControllerTick()
+				if err != nil {
+					t.Fatal(err)
+				}
+				acts = append(acts, a...)
+			}
+			if fmt.Sprint(acts) != "[tighten repair]" {
+				t.Fatalf("actions %v, want [tighten repair]", acts)
+			}
+		})
 	}
 }
 

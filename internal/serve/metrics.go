@@ -316,6 +316,9 @@ func (m *Metrics) WritePrometheus(w io.Writer, g GaugeView) {
 		fmt.Fprintf(w, "# HELP mnn_shard_state Per-shard fault-domain state (one-hot over serving/draining/degraded).\n")
 		fmt.Fprintf(w, "# TYPE mnn_shard_state gauge\n")
 		for _, sh := range g.Shards {
+			// "degraded" stays a series so dashboards keep their shape; the
+			// per-layer ladder never takes a whole shard off the crossbars,
+			// so it reads 0.
 			for _, st := range []string{"serving", "draining", "degraded"} {
 				v := 0
 				if sh.State == st {

@@ -165,34 +165,11 @@ func (per *persister) bootRestore() error {
 // fail in the deterministic mapping rebuild.
 func (per *persister) check(st *persist.State) error {
 	s := per.sched
-	switch {
-	case s.pool != nil:
-		if st.Shards == nil {
-			return fmt.Errorf("serve: snapshot is not sharded, pool runs %d shards — topology changed, snapshot refused", s.pool.Size())
-		}
-		if err := s.pool.CheckRestore(*st.Shards); err != nil {
-			return err
-		}
-	case s.set != nil:
-		if st.Shards != nil {
-			return fmt.Errorf("serve: snapshot is sharded (%d shards), pool is an unsharded replica set — topology changed, snapshot refused", len(st.Shards.Shards))
-		}
-		if st.Replicas == nil {
-			return fmt.Errorf("serve: snapshot is single-copy, pool is replicated")
-		}
-		if err := s.set.CheckRestore(*st.Replicas); err != nil {
-			return err
-		}
-	default:
-		if st.Shards != nil {
-			return fmt.Errorf("serve: snapshot is sharded (%d shards), pool is single-copy — topology changed, snapshot refused", len(st.Shards.Shards))
-		}
-		if st.Engine == nil {
-			return fmt.Errorf("serve: snapshot is replicated, pool is single-copy")
-		}
-		if err := s.eng.CheckRestore(*st.Engine); err != nil {
-			return err
-		}
+	if st.Shards == nil {
+		return fmt.Errorf("serve: snapshot has no shard-pool section — not a serving snapshot, refused")
+	}
+	if err := s.pool.CheckRestore(*st.Shards); err != nil {
+		return err
 	}
 	// Sections for subsystems this configuration did not arm are refused:
 	// silently dropping persisted protection state would diverge the resumed
@@ -234,19 +211,8 @@ func (per *persister) check(st *persist.State) error {
 // SetCampaign — so it is stashed.
 func (per *persister) applyChecked(st *persist.State) error {
 	s := per.sched
-	switch {
-	case s.pool != nil:
-		if err := s.pool.Restore(*st.Shards); err != nil {
-			return err
-		}
-	case s.set != nil:
-		if err := s.set.Restore(*st.Replicas); err != nil {
-			return err
-		}
-	default:
-		if err := s.eng.Restore(*st.Engine); err != nil {
-			return err
-		}
+	if err := s.pool.Restore(*st.Shards); err != nil {
+		return err
 	}
 	if st.Monitor != nil {
 		if err := s.rec.mon.RestoreState(*st.Monitor); err != nil {
@@ -373,18 +339,8 @@ func (per *persister) status() PersistStatus {
 // consistent; the scheduler counters are read last so the wear clock never
 // runs ahead of the device state it stamps.
 func (s *Scheduler) buildState() *persist.State {
-	st := &persist.State{Workload: s.eng.Network().Name}
-	switch {
-	case s.pool != nil:
-		ps := s.pool.Snapshot()
-		st.Shards = &ps
-	case s.set != nil:
-		ss := s.set.Snapshot()
-		st.Replicas = &ss
-	default:
-		es := s.eng.Snapshot()
-		st.Engine = &es
-	}
+	ps := s.pool.Snapshot()
+	st := &persist.State{Workload: s.eng.Network().Name, Shards: &ps}
 	if s.rec != nil {
 		ms := s.rec.mon.StateSnapshot()
 		st.Monitor = &ms

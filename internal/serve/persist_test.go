@@ -276,7 +276,7 @@ func TestBackgroundSnapshotterWritesOffHotPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Scheduler.Served == 0 || st.Engine == nil {
+	if st.Scheduler.Served == 0 || st.Shards == nil {
 		t.Fatalf("background snapshot incomplete: %+v", st.Scheduler)
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/replica"
 	"repro/internal/scrub"
-	"repro/internal/shard"
 )
 
 // retrySeedStride separates recovery-retry noise streams from the request's
@@ -156,9 +155,9 @@ func (s *Scheduler) recover(w *workerState, j *job, open []int) (Prediction, err
 		}
 	}
 
-	// Rungs 2 and 3 — the fault is persistent: re-program the layer onto
-	// spares, or if its remap budget is spent, degrade it to the software
-	// fixed-point path.
+	// The fault is persistent: escalate to the hardware rungs — repair a
+	// sick copy, re-program the layer onto spares, or if its remap budget is
+	// spent, degrade it to the software fixed-point path.
 	var remapped []int
 	for _, layer := range open {
 		action, err := s.escalate(layer)
@@ -191,13 +190,19 @@ const (
 	actionDegrade
 )
 
-// escalate applies the hardware rungs to one layer. The scheduler-wide
-// mutex plus a breaker re-check make the action exactly-once when several
-// workers trip on the same layer concurrently. With a replica set the
-// spatial rung runs first: repair the sick copies while their siblings keep
-// serving; only when no replica can be repaired does the layer degrade —
-// set-wide, because degradation is a property of the layer, not of one
-// copy. Single-copy pools keep the original inline remap-then-degrade.
+// escalate applies the hardware rungs to one tripped layer, inside the
+// shard that owns it. The scheduler-wide mutex plus a breaker re-check make
+// the action exactly-once when several workers trip on the same layer
+// concurrently. The first rung that applies wins:
+//
+//  1. spatial repair of the layer's sick copies while their siblings keep
+//     serving (a one-copy set refuses the detach, so a bare engine skips it);
+//  2. nothing, when the layer already serves from software;
+//  3. while its remap budget lasts, remap the layer on every copy;
+//  4. otherwise move the layer to the software path on every copy.
+//
+// Remapping and degradation are properties of the layer, never of one copy
+// or of the layer's shard siblings.
 func (s *Scheduler) escalate(layer int) (escalation, error) {
 	s.escMu.Lock()
 	defer s.escMu.Unlock()
@@ -205,122 +210,67 @@ func (s *Scheduler) escalate(layer int) (escalation, error) {
 		return actionNone, nil // another worker already recovered it
 	}
 	defer s.rec.mon.Reset(layer)
-	if s.pool != nil {
-		return s.escalateShard(layer)
+	set := s.setFor(layer)
+	if set == nil {
+		return actionNone, fmt.Errorf("serve: breaker tripped on layer %d no shard owns", layer)
 	}
-	if s.set != nil {
-		if s.repairSetLayer(s.set, layer, false) > 0 {
-			return actionFailover, nil
-		}
-		if s.eng.Fallback(layer) {
-			return actionNone, nil
-		}
-		if err := s.set.SetFallback(layer, true); err != nil {
-			return actionNone, fmt.Errorf("serve: recovery degrade: %w", err)
-		}
-		s.rec.degrades.Add(1)
-		return actionDegrade, nil
+	if s.repairSetLayer(set, layer, false) > 0 {
+		return actionFailover, nil
 	}
-	if s.rec.cfg.MaxRemaps >= 0 && s.eng.RemapCount(layer) < s.rec.cfg.MaxRemaps && !s.eng.Fallback(layer) {
-		if err := s.eng.Remap(layer); err != nil {
-			return actionNone, fmt.Errorf("serve: recovery remap: %w", err)
+	if set.Engine(0).Fallback(layer) {
+		return actionNone, nil
+	}
+	if set.Engine(0).RemapCount(layer) < s.rec.cfg.MaxRemaps {
+		for r := 0; r < set.Size(); r++ {
+			if err := set.Engine(r).Remap(layer); err != nil {
+				return actionNone, fmt.Errorf("serve: recovery remap: %w", err)
+			}
+			// Fresh arrays re-earn routing trust from fresh evidence.
+			set.Monitor(r).Reset(layer)
 		}
 		s.rec.remaps.Add(1)
 		return actionRemap, nil
 	}
-	if err := s.eng.SetFallback(layer, true); err != nil {
+	if err := set.SetFallback(layer, true); err != nil {
 		return actionNone, fmt.Errorf("serve: recovery degrade: %w", err)
 	}
 	s.rec.degrades.Add(1)
 	return actionDegrade, nil
 }
 
-// escalateShard climbs the shard-level ladder for one tripped layer: first
-// the spatial rung inside the owning fault domain (repair its sick replicas
-// while siblings keep serving), then — when the damage is wider than one
-// copy — drain the whole shard to the software path, re-program every layer
-// it owns onto spares across all its replicas, verify, and rejoin. Sibling
-// shards never notice. Only when a repair cycle cannot verify clean (or the
-// shard's repair budget is spent) is the shard degraded — pinned to
-// software until an operator or a later repair rejoins it. Caller holds
-// escMu; the breaker has been re-checked.
-func (s *Scheduler) escalateShard(layer int) (escalation, error) {
-	sh := s.pool.Owner(layer)
-	if sh == nil {
-		return actionNone, fmt.Errorf("serve: breaker tripped on layer %d no shard owns", layer)
+// setFor returns the replica set of the shard owning a layer (nil for an
+// unmapped layer).
+func (s *Scheduler) setFor(layer int) *replica.Set {
+	if sh := s.pool.Owner(layer); sh != nil {
+		return sh.Set()
 	}
-	if s.repairSetLayer(sh.Set(), layer, false) > 0 {
-		return actionFailover, nil
-	}
-	if sh.State() == shard.Serving && s.rec.cfg.MaxRemaps >= 0 && sh.RepairCount() < uint64(s.rec.cfg.MaxRemaps) {
-		if err := sh.Drain(); err != nil {
-			return actionNone, fmt.Errorf("serve: shard drain: %w", err)
-		}
-		eng := sh.Set().Engine(0)
-		dirty, err := sh.Repair(eng.Config().VerifyIters, eng.Config().Seed)
-		if err != nil {
-			return actionNone, fmt.Errorf("serve: shard repair: %w", err)
-		}
-		if dirty == 0 {
-			if err := sh.Rejoin(); err != nil {
-				return actionNone, fmt.Errorf("serve: shard rejoin: %w", err)
-			}
-			s.rec.remaps.Add(1)
-			return actionRemap, nil
-		}
-		// Verification failed on remapped hardware: fall through and pin
-		// the fault domain to software.
-	}
-	if err := sh.Degrade(); err != nil {
-		return actionNone, fmt.Errorf("serve: shard degrade: %w", err)
-	}
-	s.rec.degrades.Add(1)
-	return actionDegrade, nil
+	return nil
 }
 
 // openReplicaLayers returns the layers with an open per-replica routing
-// breaker, across whichever topology fronts the engine (nil single-copy).
+// breaker in any set that has a sibling to repair from. A one-copy set has
+// no spatial rung, so it is skipped — which also keeps this per-request
+// poll free on a bare pool.
 func (s *Scheduler) openReplicaLayers() []int {
-	if s.set != nil {
-		return s.set.OpenLayers()
-	}
-	if s.pool != nil {
-		var sick []int
-		for i := 0; i < s.pool.Size(); i++ {
-			sick = append(sick, s.pool.Shard(i).Set().OpenLayers()...)
-		}
-		return sick
-	}
-	return nil
-}
-
-// replicaSetFor returns the replica set serving a layer: the pool-wide set,
-// or the owning shard's set under sharding (nil when unreplicated or
-// unowned).
-func (s *Scheduler) replicaSetFor(layer int) *replica.Set {
-	if s.set != nil {
-		return s.set
-	}
-	if s.pool != nil {
-		if sh := s.pool.Owner(layer); sh != nil {
-			return sh.Set()
+	var sick []int
+	for i := 0; i < s.pool.Size(); i++ {
+		if set := s.pool.Shard(i).Set(); set.Size() > 1 {
+			sick = append(sick, set.OpenLayers()...)
 		}
 	}
-	return nil
+	return sick
 }
 
 // maintainReplicas repairs, for each tripped layer, any replica whose own
 // routing breaker is open — the background half of spatial recovery, run
-// once the request itself has a clean answer. No-op without replication.
+// once the request itself has a clean answer. A layer with no open routing
+// breaker is skipped without taking escMu.
 func (s *Scheduler) maintainReplicas(open []int) {
-	if s.set == nil && s.pool == nil {
-		return
-	}
-	s.escMu.Lock()
-	defer s.escMu.Unlock()
 	for _, layer := range open {
-		if set := s.replicaSetFor(layer); set != nil {
+		if set := s.setFor(layer); set != nil && len(set.OpenFor(layer)) > 0 {
+			s.escMu.Lock()
 			s.repairSetLayer(set, layer, true)
+			s.escMu.Unlock()
 		}
 	}
 }

@@ -28,6 +28,18 @@ func quietEngineWith(t testing.TB, adjust func(*accel.Config)) *accel.Engine {
 	rng := rand.New(rand.NewPCG(1, 2))
 	net := &nn.Network{Name: "tiny", InShape: []int{16},
 		Layers: []nn.Layer{nn.NewDense(16, 12, rng), &nn.ReLU{}, nn.NewDense(12, 4, rng)}}
+	return quietMap(t, net, adjust)
+}
+
+// quietEngine4 is shardTestEngine's four-MVM-layer network mapped quiet, so
+// a 2-shard pool puts layers 0 and 2 in one fault domain.
+func quietEngine4(t testing.TB) *accel.Engine {
+	return quietMap(t, shardTestNet(), nil)
+}
+
+// quietMap maps net with every stochastic noise source disabled.
+func quietMap(t testing.TB, net *nn.Network, adjust func(*accel.Config)) *accel.Engine {
+	t.Helper()
 	cfg := accel.DefaultConfig(accel.SchemeABN(8))
 	cfg.Device.BitsPerCell = 2
 	cfg.Device.PRTN = 0
@@ -115,91 +127,121 @@ func TestLadderRetryClearsTransientTrip(t *testing.T) {
 	}
 }
 
+// ladderTopology is one pool shape the per-layer ladder must treat alike:
+// the bare engine, or a 2-shard pool of one copy per shard over a 4-layer
+// net. In both, the wrecked layer shares its fault domain with a sibling
+// that must come out of the ladder untouched.
+type ladderTopology struct {
+	name   string
+	engine func(testing.TB) *accel.Engine
+	shards int
+}
+
+var ladderTopologies = []ladderTopology{
+	{name: "bare", engine: quietEngine},
+	{name: "shards=2", engine: quietEngine4, shards: 2},
+}
+
 // TestLadderRemapHealsPersistentFault: a wrecked layer trips the breaker,
 // survives the retries, and is re-programmed onto spares; traffic then
-// flows clean on fresh hardware.
+// flows clean on fresh hardware. Only the tripped layer is remapped.
 func TestLadderRemapHealsPersistentFault(t *testing.T) {
-	eng := quietEngine(t)
-	s, err := NewScheduler(eng, Config{Workers: 1, Recovery: recoveryConfig(1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close(context.Background())
+	for _, tp := range ladderTopologies {
+		t.Run(tp.name, func(t *testing.T) {
+			eng := tp.engine(t)
+			s, err := NewScheduler(eng, Config{Workers: 1, Recovery: recoveryConfig(1), Shards: tp.shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close(context.Background())
 
-	const layer = 2
-	wreckLayer(t, eng, layer)
-	p, err := s.Predict(context.Background(), testInput(1), 7, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.LadderRetries != 2 {
-		t.Fatalf("ladder retries %d, want both attempts consumed", p.LadderRetries)
-	}
-	if len(p.Remapped) != 1 || p.Remapped[0] != layer {
-		t.Fatalf("remapped %v, want [%d]", p.Remapped, layer)
-	}
-	if len(p.Degraded) != 0 {
-		t.Fatalf("remap rung degraded the layer: %v", p.Degraded)
-	}
-	if p.Seed != 7 {
-		t.Fatalf("final evaluation must use the request seed, got %d", p.Seed)
-	}
-	if eng.RemapCount(layer) != 1 || eng.Fallback(layer) {
-		t.Fatalf("engine state after remap: remaps=%d fallback=%v", eng.RemapCount(layer), eng.Fallback(layer))
-	}
-	if got := s.RecoveryCounters(); got.Remaps != 1 || got.Degrades != 0 {
-		t.Fatalf("counters %+v", got)
-	}
-	// Fresh hardware serves clean without ladder involvement.
-	p2, err := s.Predict(context.Background(), testInput(2), 8, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p2.LadderRetries != 0 || p2.Stats.Detected != 0 {
-		t.Fatalf("post-remap request not clean: %+v", p2)
+			const layer, sibling = 2, 0
+			wreckLayer(t, eng, layer)
+			p, err := s.Predict(context.Background(), testInput(1), 7, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p.LadderRetries != 2 {
+				t.Fatalf("ladder retries %d, want both attempts consumed", p.LadderRetries)
+			}
+			if len(p.Remapped) != 1 || p.Remapped[0] != layer {
+				t.Fatalf("remapped %v, want [%d]", p.Remapped, layer)
+			}
+			if len(p.Degraded) != 0 {
+				t.Fatalf("remap rung degraded the layer: %v", p.Degraded)
+			}
+			if p.Seed != 7 {
+				t.Fatalf("final evaluation must use the request seed, got %d", p.Seed)
+			}
+			if eng.RemapCount(layer) != 1 || eng.Fallback(layer) {
+				t.Fatalf("engine state after remap: remaps=%d fallback=%v", eng.RemapCount(layer), eng.Fallback(layer))
+			}
+			if eng.RemapCount(sibling) != 0 || eng.Fallback(sibling) {
+				t.Fatalf("sibling layer %d touched: remaps=%d fallback=%v", sibling, eng.RemapCount(sibling), eng.Fallback(sibling))
+			}
+			if got := s.RecoveryCounters(); got.Remaps != 1 || got.Degrades != 0 {
+				t.Fatalf("counters %+v", got)
+			}
+			// Fresh hardware serves clean without ladder involvement.
+			p2, err := s.Predict(context.Background(), testInput(2), 8, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p2.LadderRetries != 0 || p2.Stats.Detected != 0 {
+				t.Fatalf("post-remap request not clean: %+v", p2)
+			}
+		})
 	}
 }
 
 // TestLadderDegradesWhenRemapBudgetSpent: with remapping forbidden, a
 // persistent fault sends the layer to the software fallback; the answer is
-// still served, flagged degraded.
+// still served, flagged degraded. Only the tripped layer leaves the
+// crossbars.
 func TestLadderDegradesWhenRemapBudgetSpent(t *testing.T) {
-	eng := quietEngine(t)
-	s, err := NewScheduler(eng, Config{Workers: 1, Recovery: recoveryConfig(-1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close(context.Background())
+	for _, tp := range ladderTopologies {
+		t.Run(tp.name, func(t *testing.T) {
+			eng := tp.engine(t)
+			s, err := NewScheduler(eng, Config{Workers: 1, Recovery: recoveryConfig(-1), Shards: tp.shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close(context.Background())
 
-	const layer = 0
-	wreckLayer(t, eng, layer)
-	p, err := s.Predict(context.Background(), testInput(1), 7, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(p.Degraded) != 1 || p.Degraded[0] != layer {
-		t.Fatalf("degraded %v, want [%d]", p.Degraded, layer)
-	}
-	if len(p.Remapped) != 0 || eng.RemapCount(layer) != 0 {
-		t.Fatal("MaxRemaps<0 must never remap")
-	}
-	if !eng.Fallback(layer) {
-		t.Fatal("layer not in software fallback")
-	}
-	if p.Stats.SoftMVMs == 0 {
-		t.Fatal("degraded answer shows no soft MVMs")
-	}
-	if got := s.RecoveryCounters(); got.Degrades != 1 {
-		t.Fatalf("counters %+v", got)
-	}
-	// The wrecked crossbars are out of the serving path: later requests
-	// stay degraded but never see detected errors.
-	p2, err := s.Predict(context.Background(), testInput(2), 8, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p2.Stats.Detected != 0 || p2.Stats.SoftMVMs == 0 || len(p2.Degraded) != 1 {
-		t.Fatalf("steady-state degraded request: %+v", p2)
+			const layer, sibling = 0, 2
+			wreckLayer(t, eng, layer)
+			p, err := s.Predict(context.Background(), testInput(1), 7, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(p.Degraded) != 1 || p.Degraded[0] != layer {
+				t.Fatalf("degraded %v, want [%d]", p.Degraded, layer)
+			}
+			if len(p.Remapped) != 0 || eng.RemapCount(layer) != 0 {
+				t.Fatal("MaxRemaps<0 must never remap")
+			}
+			if !eng.Fallback(layer) {
+				t.Fatal("layer not in software fallback")
+			}
+			if eng.RemapCount(sibling) != 0 || eng.Fallback(sibling) {
+				t.Fatalf("sibling layer %d touched: remaps=%d fallback=%v", sibling, eng.RemapCount(sibling), eng.Fallback(sibling))
+			}
+			if p.Stats.SoftMVMs == 0 {
+				t.Fatal("degraded answer shows no soft MVMs")
+			}
+			if got := s.RecoveryCounters(); got.Degrades != 1 {
+				t.Fatalf("counters %+v", got)
+			}
+			// The wrecked crossbars are out of the serving path: later requests
+			// stay degraded but never see detected errors.
+			p2, err := s.Predict(context.Background(), testInput(2), 8, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p2.Stats.Detected != 0 || p2.Stats.SoftMVMs == 0 || len(p2.Degraded) != 1 {
+				t.Fatalf("steady-state degraded request: %+v", p2)
+			}
+		})
 	}
 }
 

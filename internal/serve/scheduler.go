@@ -72,10 +72,9 @@ type job struct {
 // range clients typically use for explicit, reproducible seeds.
 const autoSeedBase = uint64(1) << 32
 
-// session is a worker's evaluation stream: accel.Session (single copy),
-// replica.Session (routed set) or shard.Session (sharded pool). Every pass
-// is a batch — a lone job is a batch of one — with per-image noise lanes
-// and per-image stat drains.
+// session is a worker's evaluation stream: accel.Session on a bare pool,
+// shard.Session otherwise. Every pass is a batch — a lone job is a batch of
+// one — with per-image noise lanes and per-image stat drains.
 type session interface {
 	ForwardBatch(xs []*nn.Tensor, streams []uint64) ([]*nn.Tensor, []error)
 	DrainBatchStats(i int) accel.Stats
@@ -104,11 +103,14 @@ type workerState struct {
 	timer *time.Timer
 }
 
-// Scheduler owns a fixed pool of accel.Session workers fed by a bounded
-// admission queue. Each worker reseeds its session per request id, so
-// results are independent of placement and arrival order. With recovery
-// enabled, workers also feed per-layer ECU outcomes to a health monitor
-// and climb the retry → remap → degrade ladder when a breaker trips.
+// Scheduler owns a fixed pool of session workers fed by a bounded admission
+// queue, in front of a shard pool: every topology — bare engine, replica
+// set, sharded pool — is N >= 1 shards of R >= 1 copies, so state, ladder,
+// scrub targets, controller actuators and persistence are written once.
+// Each worker reseeds its session per request id, so results are
+// independent of placement and arrival order. With recovery enabled,
+// workers also feed per-layer ECU outcomes to a health monitor and climb
+// the per-layer ladder when a breaker trips.
 type Scheduler struct {
 	cfg      Config
 	eng      *accel.Engine
@@ -121,13 +123,8 @@ type Scheduler struct {
 	rec   *recoveryState
 	escMu sync.Mutex // serializes ladder escalations across workers
 
-	// set is the replica set fronting the engine (nil when Replicas.N <= 1;
-	// the single-copy path is then exactly the pre-replica scheduler).
-	set *replica.Set
-
-	// pool is the shard pool fronting the engine (nil when Shards == 0).
-	// With it set, layer MVMs route to per-shard replica sets and the
-	// ladder escalates per fault domain; set stays nil.
+	// pool fronts the engine with max(1, Shards) shards of Replicas.N
+	// copies; each shard's first copy is a view of the engine's arrays.
 	pool *shard.Pool
 
 	// pat is the background patrol scrubber (nil when disabled).
@@ -165,21 +162,11 @@ func NewScheduler(eng *accel.Engine, cfg Config) (*Scheduler, error) {
 	if rec != nil {
 		cfg.Recovery = rec.cfg
 	}
-	s := &Scheduler{cfg: cfg, eng: eng, queue: make(chan *job, cfg.QueueDepth), rec: rec}
-	switch {
-	case cfg.Shards > 0:
-		pool, err := shard.NewPool(eng, shard.Config{N: cfg.Shards, Replicas: cfg.Replicas})
-		if err != nil {
-			return nil, err
-		}
-		s.pool = pool
-	case cfg.Replicas.N > 1:
-		set, err := replica.NewSet(eng, cfg.Replicas)
-		if err != nil {
-			return nil, err
-		}
-		s.set = set
+	pool, err := shard.NewPool(eng, shard.Config{N: max(1, cfg.Shards), Replicas: cfg.Replicas})
+	if err != nil {
+		return nil, err
 	}
+	s := &Scheduler{cfg: cfg, eng: eng, queue: make(chan *job, cfg.QueueDepth), rec: rec, pool: pool}
 	// Assemble every subsystem before starting any goroutine, so the
 	// boot-time restore owns the whole pool and either applies a snapshot
 	// completely or refuses it completely — traffic and background loops
@@ -213,45 +200,62 @@ func NewScheduler(eng *accel.Engine, cfg Config) (*Scheduler, error) {
 }
 
 // ApplyEnv retunes every programmed copy to an environment-adjusted device
-// model — the scenario engine's actuator. With a replica set, all copies
-// share the environment; without one, only the primary exists.
+// model — the scenario engine's actuator. All copies share the environment.
 func (s *Scheduler) ApplyEnv(dev noise.DeviceParams) error {
-	if s.pool != nil {
-		return s.pool.Retune(dev)
-	}
-	if s.set != nil {
-		return s.set.Retune(dev)
-	}
-	return s.eng.Retune(dev)
+	return s.pool.Retune(dev)
 }
 
 // Engine returns the mapped engine the pool evaluates against (the primary
 // replica when replication is on).
 func (s *Scheduler) Engine() *accel.Engine { return s.eng }
 
-// ReplicaSet returns the replica set fronting the pool, nil when the pool
-// serves a single copy.
-func (s *Scheduler) ReplicaSet() *replica.Set { return s.set }
+// ReplicaSet returns the replica set of an unsharded replicated pool, nil
+// when the pool is sharded (see ShardPool) or serves a single copy.
+func (s *Scheduler) ReplicaSet() *replica.Set {
+	if s.cfg.Shards > 0 || s.cfg.Replicas.N <= 1 {
+		return nil
+	}
+	return s.pool.Shard(0).Set()
+}
 
 // ShardPool returns the shard pool fronting the engine, nil when the
-// scheduler serves an unsharded topology.
-func (s *Scheduler) ShardPool() *shard.Pool { return s.pool }
+// scheduler was not configured with Shards (the pool is then one shard that
+// the /admin/shards verbs do not address).
+func (s *Scheduler) ShardPool() *shard.Pool {
+	if s.cfg.Shards == 0 {
+		return nil
+	}
+	return s.pool
+}
+
+// ReplicaSets returns every shard's replica set, in shard order.
+func (s *Scheduler) ReplicaSets() []*replica.Set {
+	sets := make([]*replica.Set, s.pool.Size())
+	for i := range sets {
+		sets[i] = s.pool.Shard(i).Set()
+	}
+	return sets
+}
+
+// bare reports an unsharded, unreplicated pool: one shard of one copy,
+// evaluated on the engine's own session.
+func (s *Scheduler) bare() bool { return s.cfg.Shards == 0 && s.cfg.Replicas.N <= 1 }
 
 // Canceled returns how many admitted requests were dropped because their
 // client disconnected while they sat in the queue.
 func (s *Scheduler) Canceled() uint64 { return s.canceled.Load() }
 
-// newSession builds one worker's evaluation stream: a shard-routed session
-// when the pool is sharded, a routed replica session when replication is
-// on, the engine's own session otherwise.
+// newSession builds one worker's evaluation stream — the only place the
+// data path looks at the topology. A bare pool evaluates on the engine's
+// own session, which carries one noise stream across layers; shard and
+// replica sessions key each layer's stream apart (stream ^ (layer+1)<<40)
+// so routing never moves a draw. The two give different logits, and the
+// goldens and the replay checks pin the engine stream.
 func (s *Scheduler) newSession(id uint64) session {
-	if s.pool != nil {
-		return s.pool.NewSession(id)
+	if s.bare() {
+		return s.eng.NewSession(id)
 	}
-	if s.set != nil {
-		return s.set.NewSession(id)
-	}
-	return s.eng.NewSession(id)
+	return s.pool.NewSession(id)
 }
 
 // Workers returns the resolved session-pool size.

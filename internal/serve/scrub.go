@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/accel"
 	"repro/internal/persist"
 	"repro/internal/replica"
 	"repro/internal/scrub"
@@ -81,21 +80,19 @@ type ScrubStatus struct {
 	Stale bool
 }
 
-// patroller drives one scrub.Scrubber per programmed copy from a single
-// background goroutine. Scrubbers are not concurrency-safe; all patrol
-// calls happen here, and array access is serialized against live traffic
-// and remaps by each engine's per-layer write lock. With a replica set the
-// patroller detaches one copy per tick, scrubs it while its siblings absorb
-// the traffic, and rejoins it — so patrol no longer has to wait for idle
-// slots.
+// patroller drives one scrub.Scrubber per programmed copy — per (shard,
+// replica) pair — from a single background goroutine. Scrubbers are not
+// concurrency-safe; all patrol calls happen here, and array access is
+// serialized against live traffic and remaps by each engine's per-layer
+// write lock. Where a copy has siblings the patroller detaches it for the
+// tick, scrubs it while its siblings absorb the traffic, and rejoins it —
+// so patrol no longer has to wait for idle slots.
 type patroller struct {
 	sched *Scheduler
-	scs   []*scrub.Scrubber // one per programmed copy; a single entry without replication
+	scs   []*scrub.Scrubber // one per programmed copy, in (shard, replica) order
 	// sets/reps align with scs: the replica set (and replica index within
 	// it) each scrubber's engine belongs to, so a patrol pass can detach
-	// exactly that copy. nil set = the unreplicated primary. Under sharding
-	// there is one entry per (shard, replica) pair, so the rotation walks
-	// every fault domain's every copy.
+	// exactly that copy, and the rotation walks every shard's every copy.
 	sets []*replica.Set
 	reps []int
 	// detachable reports that patrolled copies can be taken out of their
@@ -143,49 +140,26 @@ func newPatroller(sched *Scheduler, cfg ScrubConfig) *patroller {
 		started:      time.Now(),
 	}
 	p.curInterval.Store(int64(cfg.Interval))
-	type target struct {
-		eng *accel.Engine
-		set *replica.Set
-		rep int
-	}
-	var targets []target
-	switch {
-	case sched.pool != nil:
-		// One scrubber per (shard, replica) pair: each covers only its
-		// shard's layer slice, and together the rotation patrols every copy
-		// of every fault domain.
-		for i := 0; i < sched.pool.Size(); i++ {
-			set := sched.pool.Shard(i).Set()
-			for r := 0; r < set.Size(); r++ {
-				targets = append(targets, target{eng: set.Engine(r), set: set, rep: r})
+	// Each scrubber covers only its shard's layer slice; together the
+	// rotation patrols every copy of every shard.
+	for _, set := range sched.ReplicaSets() {
+		for r := 0; r < set.Size(); r++ {
+			eng := set.Engine(r)
+			iters := cfg.VerifyIters
+			if iters <= 0 {
+				iters = eng.Config().VerifyIters
 			}
-		}
-		p.layers = sched.pool.Layers()
-	case sched.set != nil:
-		for r := 0; r < sched.set.Size(); r++ {
-			targets = append(targets, target{eng: sched.set.Engine(r), set: sched.set, rep: r})
-		}
-		p.layers = sched.eng.Layers()
-	default:
-		targets = []target{{eng: sched.eng}}
-		p.layers = sched.eng.Layers()
-	}
-	for _, tg := range targets {
-		iters := cfg.VerifyIters
-		if iters <= 0 {
-			iters = tg.eng.Config().VerifyIters
-		}
-		seed := cfg.Seed
-		if seed == 0 {
-			seed = tg.eng.Config().Seed
-		}
-		p.scs = append(p.scs, scrub.New(tg.eng, scrub.Config{VerifyIters: iters, Seed: seed}))
-		p.sets = append(p.sets, tg.set)
-		p.reps = append(p.reps, tg.rep)
-		if tg.set != nil && tg.set.Size() > 1 {
-			p.detachable = true
+			seed := cfg.Seed
+			if seed == 0 {
+				seed = eng.Config().Seed
+			}
+			p.scs = append(p.scs, scrub.New(eng, scrub.Config{VerifyIters: iters, Seed: seed}))
+			p.sets = append(p.sets, set)
+			p.reps = append(p.reps, r)
+			p.detachable = p.detachable || set.Size() > 1
 		}
 	}
+	p.layers = sched.pool.Layers()
 	return p
 }
 
@@ -214,8 +188,8 @@ func (p *patroller) setInterval(d time.Duration) {
 
 // run is the patrol loop: tick, patrol one layer of one copy. Without a
 // detachable copy the pool must be idle (patrol steals only idle slots);
-// otherwise the patrolled copy is detached from its replica set — pool-wide
-// or per shard — so traffic never waits on it.
+// otherwise the patrolled copy is detached from its shard's replica set, so
+// traffic never waits on it.
 func (p *patroller) run() {
 	defer close(p.done)
 	timer := time.NewTimer(p.interval())
@@ -246,7 +220,7 @@ func (p *patroller) patrolOnce() {
 	defer p.scMu.Unlock()
 	r := p.cursor % len(p.scs)
 	p.cursor++
-	if set := p.sets[r]; set != nil && set.Size() > 1 {
+	if set := p.sets[r]; set.Size() > 1 {
 		// Take the copy out of its serving rotation while its arrays are
 		// probed; if it is the last one attached, skip this tick rather
 		// than stall traffic behind the layer write lock.

@@ -23,14 +23,7 @@ import (
 // partition into four single-layer fault domains.
 func shardTestEngine(t testing.TB) (*accel.Engine, *nn.Network) {
 	t.Helper()
-	rng := rand.New(rand.NewPCG(7, 3))
-	net := &nn.Network{Name: "tiny4", InShape: []int{16},
-		Layers: []nn.Layer{
-			nn.NewDense(16, 14, rng), &nn.ReLU{},
-			nn.NewDense(14, 12, rng), &nn.ReLU{},
-			nn.NewDense(12, 8, rng), &nn.ReLU{},
-			nn.NewDense(8, 4, rng),
-		}}
+	net := shardTestNet()
 	cfg := accel.DefaultConfig(accel.SchemeABN(8))
 	cfg.Device.BitsPerCell = 2
 	eng, err := accel.Map(net, cfg)
@@ -38,6 +31,18 @@ func shardTestEngine(t testing.TB) (*accel.Engine, *nn.Network) {
 		t.Fatal(err)
 	}
 	return eng, net
+}
+
+// shardTestNet is the four-MVM-layer network shardTestEngine maps.
+func shardTestNet() *nn.Network {
+	rng := rand.New(rand.NewPCG(7, 3))
+	return &nn.Network{Name: "tiny4", InShape: []int{16},
+		Layers: []nn.Layer{
+			nn.NewDense(16, 14, rng), &nn.ReLU{},
+			nn.NewDense(14, 12, rng), &nn.ReLU{},
+			nn.NewDense(12, 8, rng), &nn.ReLU{},
+			nn.NewDense(8, 4, rng),
+		}}
 }
 
 // shardTestConfig is the sharded pool's serving configuration: n fault
@@ -92,6 +97,44 @@ func TestServeShardCountInvariance(t *testing.T) {
 					i, shards, a, shards, b)
 			}
 		}
+	}
+}
+
+// TestServeReplicatedIsOneShardPool: an unsharded replicated pool and a
+// one-shard pool are the same pool — the full Prediction and the health
+// monitor's view after 24 requests match byte for byte.
+func TestServeReplicatedIsOneShardPool(t *testing.T) {
+	inputs := make([]*nn.Tensor, 24)
+	for i := range inputs {
+		inputs[i] = testInput(uint64(i))
+	}
+	run := func(shards int) (preds, health []byte) {
+		eng, _ := shardTestEngine(t)
+		cfg := shardTestConfig(shards)
+		cfg.Workers = 1
+		s, err := NewScheduler(eng, cfg)
+		if err != nil {
+			t.Fatalf("%d shards: %v", shards, err)
+		}
+		defer s.Close(context.Background())
+		ps, err := s.PredictBatch(context.Background(), inputs, 5000, 0)
+		if err != nil {
+			t.Fatalf("%d shards: %v", shards, err)
+		}
+		for i := range ps {
+			ps[i].QueueWait, ps[i].Infer = 0, 0
+		}
+		preds, _ = json.Marshal(ps)
+		health, _ = json.Marshal(s.Health())
+		return preds, health
+	}
+	p0, h0 := run(0)
+	p1, h1 := run(1)
+	if !bytes.Equal(p0, p1) {
+		t.Fatalf("predictions differ between Shards 0 and 1:\n0: %s\n1: %s", p0, p1)
+	}
+	if !bytes.Equal(h0, h1) {
+		t.Fatalf("Health differs between Shards 0 and 1:\n0: %s\n1: %s", h0, h1)
 	}
 }
 

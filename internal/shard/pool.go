@@ -6,10 +6,11 @@
 // The partitioning mirrors ISAAC-style tile allocation: layers are assigned
 // to shards in network order, so a shard owns the crossbar tiles of a
 // pipeline stage. What the paper does on-chip (protect the unit that fails,
-// not the whole accelerator) this package does at serving scale: a wrecked
-// array set, a remap storm, or a refused snapshot inside one shard is a
-// shard event — the shard drains to the software path, repairs, and rejoins
-// while its siblings keep serving from hardware.
+// not the whole accelerator) this package does at serving scale: damage is
+// repaired inside the shard that owns the layer, per layer, and an operator
+// can drain a whole shard to the software path, repair it, and rejoin it
+// while its siblings keep serving from hardware. An unsharded serving pool
+// is a pool of one shard.
 //
 // Outputs are shard-count invariant: a layer's programmed arrays depend
 // only on (engine config, global layer index) and its noise draws only on
@@ -58,7 +59,6 @@ func (c Config) Validate() error {
 // Pool is N engine shards over one mapped network plus the layer-ownership
 // table that routes each mapped layer to its owning shard.
 type Pool struct {
-	cfg     Config
 	primary *accel.Engine
 	net     *nn.Network
 	shards  []*Shard
@@ -85,7 +85,6 @@ func NewPool(primary *accel.Engine, cfg Config) (*Pool, error) {
 	}
 	net := primary.Network()
 	p := &Pool{
-		cfg:     cfg,
 		primary: primary,
 		net:     net,
 		shards:  make([]*Shard, cfg.N),
@@ -124,9 +123,6 @@ func NewPool(primary *accel.Engine, cfg Config) (*Pool, error) {
 
 // Size returns the shard count.
 func (p *Pool) Size() int { return len(p.shards) }
-
-// Config returns the resolved pool configuration.
-func (p *Pool) Config() Config { return p.cfg }
 
 // Shard returns shard id (panics out of range, like a slice).
 func (p *Pool) Shard(id int) *Shard { return p.shards[id] }

@@ -19,10 +19,6 @@ const (
 	// path while the crossbars are repaired — traffic keeps flowing with
 	// deterministic answers, siblings untouched.
 	Draining
-	// Degraded: the shard's layers are pinned to the software path
-	// (terminal ladder rung for this fault domain) until an operator or
-	// repair cycle rejoins it.
-	Degraded
 )
 
 // String names the state for logs, metrics, and /readyz rows.
@@ -32,17 +28,15 @@ func (s ShardState) String() string {
 		return "serving"
 	case Draining:
 		return "draining"
-	case Degraded:
-		return "degraded"
 	}
 	return fmt.Sprintf("state(%d)", int32(s))
 }
 
 // Shard is one fault domain: a contiguous slice of the network's layers
 // with its own replica set, routing breakers, and maintenance lifecycle.
-// Layer evaluation goes through the set (concurrency-safe); maintenance
-// (Drain, Repair, Rejoin) is serialized per shard by mu, so an admin drain
-// and the scheduler's shard ladder cannot interleave half-finished repairs.
+// Layer evaluation goes through the set (concurrency-safe); the operator's
+// maintenance verbs (Drain, Repair, Rejoin) are serialized per shard by mu,
+// so two of them cannot interleave half-finished repairs.
 type Shard struct {
 	id     int
 	layers []int
@@ -53,7 +47,7 @@ type Shard struct {
 	mu    sync.Mutex
 	state atomic.Int32
 
-	drains  atomic.Uint64 // drain transitions (admin + ladder)
+	drains  atomic.Uint64 // drain transitions
 	repairs atomic.Uint64 // completed repair cycles
 	remaps  atomic.Uint64 // layer remaps performed by repair cycles
 	rejoins atomic.Uint64 // rejoin transitions back to serving
@@ -85,10 +79,6 @@ func (sh *Shard) Set() *replica.Set { return sh.set }
 // State returns the shard's serving state.
 func (sh *Shard) State() ShardState { return ShardState(sh.state.Load()) }
 
-// RepairCount returns how many repair cycles the shard has completed — the
-// budget the scheduler's ladder checks before another drain-and-remap.
-func (sh *Shard) RepairCount() uint64 { return sh.repairs.Load() }
-
 // Drain routes every layer of the shard to the software fixed-point path —
 // on every replica at once — and marks the shard Draining. Requests keep
 // being answered (deterministically, from the digital fallback) the whole
@@ -96,25 +86,12 @@ func (sh *Shard) RepairCount() uint64 { return sh.repairs.Load() }
 func (sh *Shard) Drain() error {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return sh.drainLocked(Draining)
-}
-
-// Degrade is Drain with the terminal state: the shard's layers are pinned
-// to software until something rejoins them. The ladder uses it when repair
-// verification keeps failing.
-func (sh *Shard) Degrade() error {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.drainLocked(Degraded)
-}
-
-func (sh *Shard) drainLocked(to ShardState) error {
 	for _, li := range sh.layers {
 		if err := sh.set.SetFallback(li, true); err != nil {
 			return fmt.Errorf("shard %d: draining layer %d: %w", sh.id, li, err)
 		}
 	}
-	if ShardState(sh.state.Swap(int32(to))) != to {
+	if ShardState(sh.state.Swap(int32(Draining))) != Draining {
 		sh.drains.Add(1)
 	}
 	return nil
@@ -150,7 +127,7 @@ func (sh *Shard) Repair(verifyIters int, seed uint64) (dirty int, err error) {
 	return dirty, nil
 }
 
-// Rejoin returns a drained (or degraded) shard to crossbar serving: every
+// Rejoin returns a drained shard to crossbar serving: every
 // layer's software-fallback flag is cleared — Repair's remaps already clear
 // it on the remapped copies, this also covers layers degraded without a
 // remap — and every replica's routing monitor is reset, so the shard

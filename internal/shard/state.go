@@ -62,7 +62,7 @@ func (p *Pool) CheckRestore(st PoolState) error {
 		if !equalInts(ss.Layers, sh.layers) {
 			return fmt.Errorf("shard: snapshot shard %d owns layers %v, pool shard owns %v", i, ss.Layers, sh.layers)
 		}
-		if s := ShardState(ss.State); s != Serving && s != Draining && s != Degraded {
+		if s := ShardState(ss.State); s != Serving && s != Draining {
 			return fmt.Errorf("shard: snapshot shard %d has unknown state %d", i, ss.State)
 		}
 		if err := sh.set.CheckRestore(ss.Replicas); err != nil {
