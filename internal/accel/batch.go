@@ -9,11 +9,11 @@ import (
 	"repro/internal/stats"
 )
 
-// batchKernel is the scratch shared across the images of one multi-image
-// MVM: the flat level-major count buffer and accumulators of the fused
-// bit-plane kernel and a small per-image gather slice. One batchKernel
-// belongs to one Session; the per-image state lives in ordinary per-lane
-// Scratch arenas.
+// batchKernel is the count and accumulator scratch of group.precompute:
+// the flat level-major count buffer, the per-(image, plane) accumulators
+// and a small per-image gather slice. Each goroutine that precomputes owns
+// one: a Session for its multi-image MVMs, a Scratch for its one-image
+// MVMs, and that Scratch's pipeline helper.
 type batchKernel struct {
 	counts []int
 	accs   []noise.AggAccum
@@ -41,14 +41,17 @@ func (k *batchKernel) setsFor(n int) [][][]uint64 {
 	return k.sets[:n]
 }
 
-// precomputeBatch is group.precompute for B images at once, over column
-// chunk c: one walk of each row's level list and fault-shaped masks feeds
-// all B images' plane aggregations (the masks differ per image; the level
-// lists, per-level noise terms, and CDF tables are shared). Each image's
-// row reads land in ring slot 0 of its own Scratch arena exactly as the
-// one-image precompute would have left them, bit for bit, so group.read
-// runs unchanged on top.
-func (g *group) precomputeBatch(m *MappedMatrix, c int, imgs []mvmImage, sn *stats.BinomSnapshot, kn *batchKernel) {
+// precompute runs the deterministic half of every row read of this group
+// for each image's input masks over column chunk c: the fused active
+// counts, their noise aggregates resolved for the draw loop, the ideal ADC
+// outputs and the stuck-cell deltas. One walk of each row's level list and
+// fault-shaped masks feeds every image's plane aggregations (the masks
+// differ per image; the level lists, per-level noise terms and CDF tables
+// are shared). Each image's row reads land in ring slot `slot` of its own
+// Scratch arena, indexed plane*rows+row. It touches no RNG, so running it
+// ahead of the draws (on another goroutine, even), and reusing it across
+// ECU retry re-reads, cannot move a draw. A lone image is a batch of one.
+func (g *group) precompute(m *MappedMatrix, c int, imgs []mvmImage, slot int, sn *stats.BinomSnapshot, kn *batchKernel) {
 	rows := g.arr.Rows
 	planes := len(imgs[0].scr.masks[c])
 	stride := len(imgs) * planes
@@ -57,7 +60,7 @@ func (g *group) precomputeBatch(m *MappedMatrix, c int, imgs []mvmImage, sn *sta
 	sets := kn.setsFor(len(imgs))
 	for i := range imgs {
 		sets[i] = imgs[i].scr.masks[c]
-		imgs[i].scr.readsFor(0, planes*rows)
+		imgs[i].scr.readsFor(slot, planes*rows)
 	}
 	for r := 0; r < rows; r++ {
 		g.arr.ActiveCountsBatch(r, sets, counts)
@@ -68,7 +71,7 @@ func (g *group) precomputeBatch(m *MappedMatrix, c int, imgs []mvmImage, sn *sta
 			sub := imgs[i].scr
 			for b, mask := range sub.masks[c] {
 				agg, t := m.sampler.FinishAccum(&accs[j])
-				g.resolve(m, sn, r, mask, agg, t, &sub.slots[0][b*rows+r])
+				g.resolve(m, sn, r, mask, agg, t, &sub.slots[slot][b*rows+r])
 				j++
 			}
 		}
@@ -89,11 +92,12 @@ type mvmImage struct {
 // that image's input, rng and arena alone: the deterministic precompute
 // touches no RNG, and the stochastic row reads run per image, in image
 // order within each (chunk, group), each on its own rng, so every image's
-// draw sequence is exactly its one-image sequence. One image takes the
-// pipelined precompute (a helper fills groups ahead of the draws while a
-// core is idle, see pipeline.go); several take the fused multi-image
-// precompute and count in BatchMVMs. Each out must have the output
-// dimension; kn is the shared multi-image scratch (unused for one image).
+// draw sequence is exactly its one-image sequence. One image fills its
+// ring through the pipeline (a helper precomputes groups ahead of the
+// draws while a core is idle, see pipeline.go); several fill ring slot 0
+// inline, one group at a time, and count in BatchMVMs. Both run the same
+// group.precompute. Each out must have the output dimension; kn is the
+// multi-image precompute scratch (unused for one image).
 // Warm arenas make the whole call allocation-free. The caller counts
 // itself in kernelWorkers.
 func (m *MappedMatrix) mvmBatch(imgs []mvmImage, kn *batchKernel) {
@@ -120,7 +124,7 @@ func (m *MappedMatrix) mvmBatch(imgs []mvmImage, kn *batchKernel) {
 			if pipe {
 				reads = lead.awaitGroup(gi)
 			} else {
-				g.precomputeBatch(m, c, imgs, &lead.sn, kn)
+				g.precompute(m, c, imgs, 0, &lead.sn, kn)
 			}
 			for i := range imgs {
 				im := &imgs[i]

@@ -67,8 +67,9 @@ func TestDebugGroupReadAccuracy(t *testing.T) {
 
 		before := st
 		masks := [][]uint64{mask}
-		reads := scr.readsFor(0, g.arr.Rows)
-		g.precompute(m, masks, &bsn, countsInto(&scr.counts, 1, g.arr.NumLevels()), reads)
+		scr.masks = [][][]uint64{masks}
+		g.precompute(m, 0, []mvmImage{{scr: scr}}, 0, &bsn, &scr.kn)
+		reads := scr.slots[0]
 		lanes := g.read(m, scr, reads, masks, 0, srng, &st)
 		status := "clean"
 		if st.Corrected > before.Corrected {
@@ -189,8 +190,9 @@ func TestDebugTrainedLayerReads(t *testing.T) {
 				q, _ := g.code.Decode(exact)
 				want := g.layout.Unpack(q)
 				masks := [][]uint64{mask}
-				reads := scr.readsFor(0, g.arr.Rows)
-				g.precompute(m, masks, &bsn, countsInto(&scr.counts, 1, g.arr.NumLevels()), reads)
+				scr.masks = [][][]uint64{masks}
+				g.precompute(m, 0, []mvmImage{{scr: scr}}, 0, &bsn, &scr.kn)
+				reads := scr.slots[0]
 				got := g.read(m, scr, reads, masks, 0, srng, &st)
 				totalReads++
 				for i := range got {

@@ -683,25 +683,6 @@ type rowRead struct {
 	stuck int32
 }
 
-// precompute runs the deterministic half of every row read of this group
-// for the given input masks: the fused per-plane active counts, their
-// noise aggregates resolved for the draw loop, the ideal ADC outputs, and
-// the stuck-cell deltas, into reads indexed plane*rows+row. counts is a
-// planes x levels work buffer. It touches no RNG, so running it ahead of
-// the draws (on another goroutine, even), and reusing it across ECU retry
-// re-reads, cannot move a draw.
-func (g *group) precompute(m *MappedMatrix, masks [][]uint64, sn *stats.BinomSnapshot, counts [][]int, reads []rowRead) {
-	rows := g.arr.Rows
-	for r := 0; r < rows; r++ {
-		g.arr.ActiveCountsMulti(r, masks, counts)
-		lv := g.arr.LevelList(r)
-		for b, mask := range masks {
-			agg, t := m.sampler.AggregateRowLevelsIdeal(lv, counts[b])
-			g.resolve(m, sn, r, mask, agg, t, &reads[b*rows+r])
-		}
-	}
-}
-
 // resolve fills one row read from its aggregate and ideal output under the
 // given plane mask.
 func (g *group) resolve(m *MappedMatrix, sn *stats.BinomSnapshot, r int, mask []uint64, agg noise.RowAgg, ideal int, rr *rowRead) {

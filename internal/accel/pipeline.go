@@ -7,14 +7,15 @@ import (
 )
 
 // A one-image MVM splits each group's row reads into a pure half and a
-// draw half. The pure half (group.precompute: active counts, noise aggregates,
-// ideal outputs, stuck deltas, binomial state) touches no RNG; the draw
-// half (group.read) draws every variate on the caller, in row-major,
-// plane, group and chunk order. While the machine has an idle core, a
-// helper goroutine runs the pure half of group g+1.. into a small ring of
-// slots while the caller draws, corrects and accumulates group g. When no
-// core is idle the caller fills every slot itself: the same code with zero
-// helpers. Which goroutine fills a slot cannot move a draw.
+// draw half. The pure half (group.precompute, the same function a
+// multi-image MVM runs, here over a batch of one: active counts, noise
+// aggregates, ideal outputs, stuck deltas, binomial state) touches no RNG;
+// the draw half (group.read) draws every variate on the caller, in
+// row-major, plane, group and chunk order. While the machine has an idle
+// core, a helper goroutine runs the pure half of group g+1.. into a small
+// ring of slots while the caller draws, corrects and accumulates group g.
+// When no core is idle the caller fills every slot itself: the same code
+// with zero helpers. Which goroutine fills a slot cannot move a draw.
 
 // kernelWorkers counts the goroutines doing kernel work right now: MVM
 // callers, pipeline helpers, and mapping's A-search workers. A session counts for the whole of a forward pass, not only its
@@ -86,8 +87,8 @@ type pipeline struct {
 	// helping is set while a helper holds this Scratch; quit asks it to
 	// leave early.
 	helping, quit atomic.Bool
-	// counts is the helper's fused count buffer.
-	counts [][]int
+	// kn is the helper's precompute scratch.
+	kn batchKernel
 }
 
 // pipeJobs hands a Scratch to an idle helper. Helpers are started on
@@ -205,7 +206,7 @@ func (s *Scratch) help() {
 		if p.claimed.Load() >= p.total {
 			break
 		}
-		if n := s.fillNext(&p.counts); n > 0 {
+		if n := s.fillNext(&p.kn); n > 0 {
 			filled++
 			if rows += n; rows < pipeYieldRows {
 				continue
@@ -226,26 +227,25 @@ func (s *Scratch) help() {
 	p.helping.Store(false)
 }
 
-// fill precomputes group g of the current MVM into its ring slot using the
-// given count buffer.
-func (s *Scratch) fill(g int, counts *[][]int) {
+// fill precomputes group g of the current MVM into its ring slot, as a
+// batch of one, using the given precompute scratch.
+func (s *Scratch) fill(g int, kn *batchKernel) {
 	p := &s.pipe
 	grp, c := p.m.groupAt(g)
-	masks := s.masks[c]
-	grp.precompute(p.m, masks, &s.sn, countsInto(counts, len(masks), grp.arr.NumLevels()),
-		s.readsFor(g%pipeDepth, len(masks)*grp.arr.Rows))
+	one := [1]mvmImage{{scr: s}}
+	grp.precompute(p.m, c, one[:], g%pipeDepth, &s.sn, kn)
 }
 
 // fillNext precomputes the next unclaimed group and marks it ready, if the
 // ring has a free slot for it (the caller has released the group that slot
 // last held). It returns the group's word-line count, 0 if it filled none.
-func (s *Scratch) fillNext(counts *[][]int) int {
+func (s *Scratch) fillNext(kn *batchKernel) int {
 	p := &s.pipe
 	g := p.claimed.Load()
 	if g >= p.total || g-p.consumed.Load() >= pipeDepth || !p.claimed.CompareAndSwap(g, g+1) {
 		return 0
 	}
-	s.fill(int(g), counts)
+	s.fill(int(g), kn)
 	p.ready[g%pipeDepth].Store(g + 1)
 	grp, _ := p.m.groupAt(int(g))
 	return grp.arr.Rows
@@ -260,10 +260,10 @@ func (s *Scratch) awaitGroup(g int) []rowRead {
 	slot := g % pipeDepth
 	for p.ready[slot].Load() != int32(g+1) {
 		if p.claimed.CompareAndSwap(int32(g), int32(g+1)) {
-			s.fill(g, &s.counts)
+			s.fill(g, &s.kn)
 			break
 		}
-		if s.fillNext(&s.counts) == 0 {
+		if s.fillNext(&s.kn) == 0 {
 			runtime.Gosched()
 		}
 	}

@@ -30,9 +30,9 @@ type Scratch struct {
 	// vsums[c] the sum of that chunk's quantized inputs.
 	masks [][][]uint64
 	vsums []int64
-	// counts[b][level] is the caller's fused ActiveCountsMulti output for
-	// plane b (a pipeline helper fills its own).
-	counts [][]int
+	// kn is the caller's one-image precompute scratch (a pipeline helper
+	// keeps its own).
+	kn batchKernel
 	// slots is the ring of precomputed groups: slots[g%pipeDepth] holds
 	// group g's row reads, indexed plane*rows+row.
 	slots [pipeDepth][]rowRead
@@ -123,26 +123,6 @@ func (s *Scratch) dequantize(m *MappedMatrix, out []float64) {
 			out[r] = float64(s.acc[r]) * f
 		}
 	}
-}
-
-// countsInto sizes a planes x levels fused count matrix in *buf (contents
-// stale; ActiveCountsMulti zeroes what it uses).
-func countsInto(buf *[][]int, planes, levels int) [][]int {
-	c := *buf
-	if cap(c) < planes {
-		grown := make([][]int, planes)
-		copy(grown, c[:cap(c)])
-		c = grown
-	}
-	c = c[:planes]
-	for b := range c {
-		if cap(c[b]) < levels {
-			c[b] = make([]int, levels)
-		}
-		c[b] = c[b][:levels]
-	}
-	*buf = c
-	return c
 }
 
 // readsFor returns ring slot i sized for n row reads (contents stale; the

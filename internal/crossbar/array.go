@@ -426,52 +426,14 @@ func (a *Array) ActiveCounts(r int, input []uint64, counts []int) {
 	counts[0] = 0
 }
 
-// ActiveCountsMulti is the fused multi-bit-plane ActiveCounts: it fills
-// counts[b][level] for every input mask inputs[b] in one pass over row r's
-// level masks, so each mask word is loaded once and feeds all bit planes.
-// Only levels present in the row are visited (all-zero words are skipped
-// within them); absent levels are left at the zero the kernel writes first.
-// Each counts[b] must have NumLevels entries.
-func (a *Array) ActiveCountsMulti(r int, inputs [][]uint64, counts [][]int) {
-	p := a.rowMap[r]
-	for _, cb := range counts {
-		clear(cb)
-	}
-	for _, l := range a.levelSlot(p) {
-		m := a.effMask(p, l)
-		switch len(m) {
-		case 1:
-			// One- and two-word rows (<=128 columns) cover every tiled
-			// crossbar in practice; unrolling them removes the word-loop
-			// overhead that otherwise dominates the popcounts.
-			m0 := m[0]
-			for b, in := range inputs {
-				counts[b][l] = bits.OnesCount64(m0 & in[0])
-			}
-		case 2:
-			m0, m1 := m[0], m[1]
-			for b, in := range inputs {
-				in = in[:2]
-				counts[b][l] = bits.OnesCount64(m0&in[0]) + bits.OnesCount64(m1&in[1])
-			}
-		default:
-			for b, in := range inputs {
-				inw := in[:len(m)] // pins len(inw)==len(m) for bounds elision
-				n := 0
-				for w, mw := range m {
-					n += bits.OnesCount64(mw & inw[w])
-				}
-				counts[b][l] = n
-			}
-		}
-	}
-}
-
-// ActiveCountsBatch is the multi-image ActiveCountsMulti: it fills a flat
-// level-major counts buffer for B independent bit-plane sets in a single
-// pass over row r's level masks, so the per-row level list and fault-shaped
-// level masks — which are input-independent and shared by every image in a
-// batch — are walked once per row per batch instead of once per image.
+// ActiveCountsBatch is the fused ActiveCounts of the read path: it fills a
+// flat level-major counts buffer for B independent bit-plane sets in a
+// single pass over row r's level masks, so each mask word is loaded once and
+// feeds every plane of every image. The per-row level list and fault-shaped
+// level masks are input-independent and shared by every image in a batch,
+// so they are walked once per row per batch instead of once per image; a
+// lone image is a batch of one. Only levels present in the row are visited
+// (all-zero words are skipped within them).
 // sets[i] holds image i's bit-plane masks (every image must carry the same
 // plane count and word width); counts must have at least NumLevels*stride
 // entries, where stride = len(sets)*planes, and entry
@@ -491,8 +453,9 @@ func (a *Array) ActiveCountsBatch(r int, sets [][][]uint64, counts []int) {
 		i := int(l) * stride
 		switch len(m) {
 		case 1:
-			// Same unrolling rationale as ActiveCountsMulti: one- and
-			// two-word rows cover every tiled crossbar in practice.
+			// One- and two-word rows (<=128 columns) cover every tiled
+			// crossbar in practice; unrolling them removes the word-loop
+			// overhead that otherwise dominates the popcounts.
 			m0 := m[0]
 			for _, ps := range sets {
 				for _, in := range ps {

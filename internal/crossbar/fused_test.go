@@ -50,32 +50,6 @@ func randomMask(rng *rand.Rand, words, cols int) []uint64 {
 	return m
 }
 
-// TestActiveCountsMultiMatchesScalar proves the fused kernel equals
-// per-plane ActiveCounts on every row of a heavily mutated array.
-func TestActiveCountsMultiMatchesScalar(t *testing.T) {
-	a := scrambledArray(t, 32, 100, 2, 2, 5)
-	rng := rand.New(rand.NewPCG(9, 9))
-	const planes = 8
-	inputs := make([][]uint64, planes)
-	for b := range inputs {
-		inputs[b] = randomMask(rng, a.MaskWords(), a.Cols)
-	}
-	fused := make([][]int, planes)
-	for b := range fused {
-		fused[b] = make([]int, a.NumLevels())
-	}
-	want := make([]int, a.NumLevels())
-	for r := 0; r < a.Rows; r++ {
-		a.ActiveCountsMulti(r, inputs, fused)
-		for b := range inputs {
-			a.ActiveCounts(r, inputs[b], want)
-			if !reflect.DeepEqual(fused[b], want) {
-				t.Fatalf("row %d plane %d: fused %v, scalar %v", r, b, fused[b], want)
-			}
-		}
-	}
-}
-
 // TestLevelListConsistent checks the incrementally maintained present-level
 // lists against the effective cells after the mutation storm.
 func TestLevelListConsistent(t *testing.T) {

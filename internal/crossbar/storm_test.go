@@ -171,10 +171,6 @@ func checkStorm(t *testing.T, a *Array, m *refArray, rng *rand.Rand, step int, o
 		sets[i] = stormInputs(rng, planes, a.MaskWords(), a.Cols)
 	}
 	inputs := sets[0]
-	multi := make([][]int, planes)
-	for b := range multi {
-		multi[b] = make([]int, m.k)
-	}
 	counts := make([]int, m.k)
 	batch := make([]int, m.k*images*planes)
 	for r := range m.rowMap {
@@ -203,15 +199,11 @@ func checkStorm(t *testing.T, a *Array, m *refArray, rng *rand.Rand, step int, o
 				fail("cell (%d,%d) stuck %d/%v, want %d/%v", r, c, glv, gok, lv, ok)
 			}
 		}
-		a.ActiveCountsMulti(r, inputs, multi)
 		for b, in := range inputs {
 			want := m.counts(m.eff[p], in)
 			a.ActiveCounts(r, in, counts)
 			if !slices.Equal(counts, want) {
 				fail("row %d plane %d ActiveCounts %v, want %v", r, b, counts, want)
-			}
-			if !slices.Equal(multi[b], want) {
-				fail("row %d plane %d ActiveCountsMulti %v, want %v", r, b, multi[b], want)
 			}
 			ideal, progOut := 0, 0
 			for l, n := range want {

@@ -1,6 +1,7 @@
 package noise
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -8,50 +9,78 @@ import (
 	"repro/internal/stats"
 )
 
-// TestAggregateRowLevelsMatchesFull checks the level-list aggregation path
-// against the full-scan one on random sparse count vectors: same float
-// accumulation order, bit-identical aggregates.
-func TestAggregateRowLevelsMatchesFull(t *testing.T) {
-	p := DefaultDeviceParams()
-	p.BitsPerCell = 3
-	s, err := NewRowSampler(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewPCG(12, 34))
-	k := p.NumLevels()
-	for trial := 0; trial < 200; trial++ {
-		counts := make([]int, k)
-		var levels []uint8
-		for l := 1; l < k; l++ {
-			switch rng.IntN(3) {
-			case 0: // absent level: zero count, not listed
-			case 1: // present level with zero active count: listed, zero
-				levels = append(levels, uint8(l))
-			case 2:
-				levels = append(levels, uint8(l))
-				counts[l] = 1 + rng.IntN(64)
+// TestAccumulateRowLevelsBatchMatchesFull checks the read path's one
+// aggregation — B images x planes accumulators advanced by one level-list
+// walk, closed by FinishAccum — against the full-scan AggregateRow and the
+// ideal sum(level*count), bit for bit, on random sparse counts: absent
+// levels (unlisted, and garbage in the flat buffer, which the crossbar
+// kernel never writes there), listed levels with zero active count, PRTN
+// 0 and 1 as well as in between, and a device with no RTN-active level.
+// The accumulators are reused across rows without clearing, as the kernel
+// reuses them.
+func TestAccumulateRowLevelsBatchMatchesFull(t *testing.T) {
+	def := DefaultDeviceParams().DeltaRLoFrac
+	// A vanishing RTN amplitude puts every level below stepFloor.
+	for _, dev := range []struct{ prtn, deltaRLo float64 }{{0, def}, {0.27, def}, {1, def}, {0.27, 1e-12}} {
+		p := DefaultDeviceParams()
+		p.BitsPerCell = 3
+		p.PRTN, p.DeltaRLoFrac = dev.prtn, dev.deltaRLo
+		name := fmt.Sprintf("PRTN=%g DeltaRLoFrac=%g", dev.prtn, dev.deltaRLo)
+		s, err := NewRowSampler(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewPCG(12, 34))
+		k := p.NumLevels()
+		accs := make([]AggAccum, 4*3)
+		for trial := 0; trial < 200; trial++ {
+			images := 1 + rng.IntN(4)
+			planes := 1 + rng.IntN(3)
+			stride := images * planes
+			var levels []uint8
+			listed := make([]bool, k)
+			for l := 1; l < k; l++ {
+				if rng.IntN(3) != 0 {
+					levels = append(levels, uint8(l))
+					listed[l] = true
+				}
 			}
-		}
-		want := s.AggregateRow(counts)
-		got := s.AggregateRowLevels(levels, counts)
-		if got != want {
-			t.Fatalf("trial %d (levels %v counts %v): list agg %+v, full agg %+v",
-				trial, levels, counts, got, want)
-		}
-		fused, ideal := s.AggregateRowLevelsIdeal(levels, counts)
-		if fused != want {
-			t.Fatalf("trial %d: fused agg %+v, full agg %+v", trial, fused, want)
-		}
-		wantIdeal := 0
-		for l, c := range counts {
-			wantIdeal += l * c
-		}
-		if ideal != wantIdeal {
-			t.Fatalf("trial %d: fused ideal %d, want %d", trial, ideal, wantIdeal)
+			counts := make([]int, k*stride)
+			for l := 0; l < k; l++ {
+				for j := 0; j < stride; j++ {
+					switch {
+					case !listed[l]:
+						counts[l*stride+j] = -1 - rng.IntN(1000) // never read
+					case rng.IntN(3) == 0: // listed, no active cell
+					default:
+						counts[l*stride+j] = 1 + rng.IntN(64)
+					}
+				}
+			}
+			s.AccumulateRowLevelsBatch(levels, counts, accs[:stride])
+			for j := 0; j < stride; j++ {
+				full := make([]int, k)
+				wantIdeal := 0
+				for _, lv := range levels {
+					full[lv] = counts[int(lv)*stride+j]
+					wantIdeal += int(lv) * full[lv]
+				}
+				want := s.AggregateRow(full)
+				got, ideal := s.FinishAccum(&accs[j])
+				if got.N != want.N || !sameBits(got.Sbar, want.Sbar) || !sameBits(got.Resid, want.Resid) || !sameBits(got.Sigma, want.Sigma) {
+					t.Fatalf("%s trial %d image %d plane %d (levels %v counts %v): batched agg %+v, full agg %+v",
+						name, trial, j/planes, j%planes, levels, full, got, want)
+				}
+				if ideal != wantIdeal {
+					t.Fatalf("%s trial %d image %d plane %d: batched ideal %d, want %d",
+						name, trial, j/planes, j%planes, ideal, wantIdeal)
+				}
+			}
 		}
 	}
 }
+
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
 // TestSampleDrawMatchesSampleAgg: resolving an aggregate ahead of its draws
 // (PrepareDraw, no RNG) and sampling it later (SampleDraw) must match

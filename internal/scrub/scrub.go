@@ -186,6 +186,25 @@ func (s *Scrubber) PatrolLayer(layer int) (Report, error) {
 	return rep, nil
 }
 
+// Reprogram remaps one layer of eng onto spare arrays and verifies the new
+// arrays with one patrol pass under cfg: the repair cycle of a replica's
+// spatial failover and of a drained shard. The layer's software-fallback
+// flag is left as it was found. Engine.Remap clears it, but whether a
+// degraded or drained layer returns to crossbars is the ladder's or the
+// operator's call (Rejoin), never a side effect of a repair.
+func Reprogram(eng *accel.Engine, layer int, cfg Config) (Report, error) {
+	degraded := eng.Fallback(layer)
+	if err := eng.Remap(layer); err != nil {
+		return Report{}, err
+	}
+	if degraded {
+		if err := eng.SetFallback(layer, true); err != nil {
+			return Report{}, err
+		}
+	}
+	return New(eng, cfg).PatrolLayer(layer)
+}
+
 // patrolArray walks one coded group. The probe unit is a column: each
 // encoded operand-group word lies bit-sliced down one column, so a one-hot
 // input mask on column c makes every row's ADC output exactly the cell

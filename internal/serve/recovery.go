@@ -141,14 +141,13 @@ func (s *Scheduler) recover(w *workerState, j *job, open []int) (Prediction, err
 			}
 		}
 		if !suspect {
+			// With replicas, a clean retry often means the router steered
+			// around a damaged copy rather than the fault being transient;
+			// the ladder's openReplicaLayers poll, right after this
+			// returns, repairs any copy whose own breaker is open.
 			for _, layer := range open {
 				rec.mon.Reset(layer)
 			}
-			// With replicas, a clean retry often means the router steered
-			// around a damaged copy rather than the fault being transient;
-			// repair any replica whose own breaker is open so redundancy is
-			// restored, not just hidden.
-			s.maintainReplicas(open)
 			pred.LadderRetries = retries
 			pred.Seed = j.seed + uint64(attempt)*retrySeedStride
 			return pred, nil
@@ -283,7 +282,9 @@ func (s *Scheduler) maintainReplicas(open []int) {
 // it is why MaxRemaps does not apply here: that budget bounds inline remaps
 // that stall traffic, while a detached copy can be re-programmed as often
 // as the wear-out demands without anyone waiting. Returns the number of
-// replicas repaired and verified clean. Caller holds escMu.
+// replicas repaired and verified clean. A repair leaves each copy's
+// software-fallback flag as it found it, so a layer degraded on every copy
+// stays degraded on every copy. Caller holds escMu.
 func (s *Scheduler) repairSetLayer(set *replica.Set, layer int, openOnly bool) int {
 	candidates := set.OpenFor(layer)
 	if len(candidates) == 0 && !openOnly {
@@ -297,21 +298,15 @@ func (s *Scheduler) repairSetLayer(set *replica.Set, layer int, openOnly bool) i
 		if err := set.Detach(r); err != nil {
 			continue // last attached replica: someone must keep serving
 		}
-		ok := false
-		if err := eng.Remap(layer); err == nil {
-			sc := scrub.New(eng, scrub.Config{
-				VerifyIters: eng.Config().VerifyIters,
-				Seed:        eng.Config().Seed,
-			})
-			if rep, err := sc.PatrolLayer(layer); err == nil && rep.Clean() {
-				ok = true
-			}
-		}
+		rep, err := scrub.Reprogram(eng, layer, scrub.Config{
+			VerifyIters: eng.Config().VerifyIters,
+			Seed:        eng.Config().Seed,
+		})
 		// Rejoin either way: a copy that failed verification re-earns (or
 		// re-loses) trust from fresh evidence, and its breaker steers
 		// traffic away again if the damage persists.
 		set.Attach(r)
-		if ok {
+		if err == nil && rep.Clean() {
 			s.rec.failovers.Add(1)
 			repaired++
 		}

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/accel"
 	"repro/internal/fault"
 	"repro/internal/replica"
 )
@@ -224,6 +225,39 @@ func TestSpatialRungBeatsSpentRemapBudget(t *testing.T) {
 	}
 	if d := engB.DegradedLayers(); len(d) != 0 {
 		t.Fatalf("replicated pool degraded layers %v, want none", d)
+	}
+}
+
+// TestRepairKeepsSetWideDegrade: a layer degraded on every copy stays
+// degraded on every copy when one copy's routing breaker opens and the
+// request path repairs that copy — the repair re-programs its arrays but
+// must not put it back on crossbars while its siblings serve software.
+func TestRepairKeepsSetWideDegrade(t *testing.T) {
+	ctx := context.Background()
+	cfg := replicaTestConfig(2)
+	cfg.Workers = 1
+	s, err := NewScheduler(quietEngine(t), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close(ctx)
+	set := s.ReplicaSet()
+	if err := set.SetFallback(0, true); err != nil {
+		t.Fatal(err)
+	}
+	if st := set.Monitor(1).ObserveOne(0, accel.Stats{Detected: 64}); st != fault.BreakerOpen {
+		t.Fatalf("copy 1 layer 0 routing breaker %v, want open", st)
+	}
+	if _, err := s.Predict(ctx, testInput(1), 1, 1); err != nil {
+		t.Fatal(err)
+	}
+	if rc := s.RecoveryCounters(); rc.Failovers == 0 {
+		t.Fatalf("the open routing breaker was not repaired: %+v", rc)
+	}
+	for r := 0; r < set.Size(); r++ {
+		if !set.Engine(r).Fallback(0) {
+			t.Fatalf("copy %d left the software path after the repair (remaps %d)", r, set.Engine(r).RemapCount(0))
+		}
 	}
 }
 

@@ -98,26 +98,23 @@ func (sh *Shard) Drain() error {
 }
 
 // Repair re-programs every layer of the shard onto spare arrays, replica by
-// replica, and patrol-verifies each remap (scrub pass with verifyIters
+// replica, and patrol-verifies each remap (scrub.Reprogram with verifyIters
 // programming iterations under the given seed). Call it on a drained shard:
-// traffic is answering from the software path, so the reprogram stalls
-// nobody. It returns the number of layers whose verify still reports
-// uncorrectable rows (0 = the shard is clean and safe to Rejoin).
+// traffic keeps answering from the software path, which the repair leaves
+// in place until Rejoin, so the reprogram stalls nobody. It returns the
+// number of layers whose verify still reports uncorrectable rows (0 = the
+// shard is clean and safe to Rejoin).
 func (sh *Shard) Repair(verifyIters int, seed uint64) (dirty int, err error) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	cfg := scrub.Config{VerifyIters: verifyIters, Seed: seed}
 	for r := 0; r < sh.set.Size(); r++ {
-		eng := sh.set.Engine(r)
-		sc := scrub.New(eng, scrub.Config{VerifyIters: verifyIters, Seed: seed})
 		for _, li := range sh.layers {
-			if err := eng.Remap(li); err != nil {
-				return dirty, fmt.Errorf("shard %d: remapping layer %d replica %d: %w", sh.id, li, r, err)
+			rep, err := scrub.Reprogram(sh.set.Engine(r), li, cfg)
+			if err != nil {
+				return dirty, fmt.Errorf("shard %d: repairing layer %d replica %d: %w", sh.id, li, r, err)
 			}
 			sh.remaps.Add(1)
-			rep, err := sc.PatrolLayer(li)
-			if err != nil {
-				return dirty, fmt.Errorf("shard %d: verifying layer %d replica %d: %w", sh.id, li, r, err)
-			}
 			if !rep.Clean() {
 				dirty++
 			}
@@ -127,11 +124,10 @@ func (sh *Shard) Repair(verifyIters int, seed uint64) (dirty int, err error) {
 	return dirty, nil
 }
 
-// Rejoin returns a drained shard to crossbar serving: every
-// layer's software-fallback flag is cleared — Repair's remaps already clear
-// it on the remapped copies, this also covers layers degraded without a
-// remap — and every replica's routing monitor is reset, so the shard
-// re-earns trust from fresh evidence. Idempotent while already serving.
+// Rejoin returns a drained shard to crossbar serving: every layer's
+// software-fallback flag is cleared on every copy, and every replica's
+// routing monitor is reset, so the shard re-earns trust from fresh
+// evidence. Idempotent while already serving.
 func (sh *Shard) Rejoin() error {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"math/rand/v2"
+	"slices"
 	"strings"
 	"testing"
 
@@ -165,6 +166,21 @@ func TestDrainRepairRejoin(t *testing.T) {
 	}
 	if dirty != 0 {
 		t.Fatalf("repair left %d dirty layers on healthy hardware", dirty)
+	}
+	// The repair leaves the shard on software until Rejoin: every layer
+	// stays degraded and a pass reads none of them from crossbars.
+	if dl := sh.Status().DegradedLayers; !slices.Equal(dl, sh.Layers()) {
+		t.Fatalf("repaired, still drained shard degrades %v of layers %v", dl, sh.Layers())
+	}
+	perLayer := map[int]accel.Stats{}
+	ses.DrainBatchLayerStatsInto(0, perLayer) // drop the earlier passes' tallies
+	ses.Reseed(44)
+	ses.Forward(testInput(44))
+	ses.DrainBatchLayerStatsInto(0, perLayer)
+	for _, li := range sh.Layers() {
+		if st := perLayer[li]; st.RowReads != 0 || st.SoftMVMs == 0 {
+			t.Fatalf("drained layer %d after repair: %d crossbar row reads, %d software MVMs", li, st.RowReads, st.SoftMVMs)
+		}
 	}
 	if err := sh.Rejoin(); err != nil {
 		t.Fatal(err)
