@@ -26,9 +26,10 @@
 //	mnnserve -workload MLP1 -fault-steps 4 -fault-every 50 -fault-stuck 0.01
 //
 // -scrub arms the proactive side: a background patroller walks the mapped
-// arrays during idle scheduler slots, re-programs drifted rows with
-// write-verify pulses, and spares uncorrectable rows onto -spare-rows spare
-// lines, pre-empting breaker trips before the reactive ladder fires:
+// arrays (in idle scheduler slots, or on a detached copy with -replicas),
+// re-programs drifted rows with write-verify pulses, and spares
+// uncorrectable rows onto -spare-rows spare lines, pre-empting breaker
+// trips before the reactive ladder fires:
 //
 //	mnnserve -workload MLP1 -scrub -scrub-interval 500ms -spare-rows 4
 //
@@ -233,12 +234,7 @@ func run(args []string) error {
 		}
 	}
 	if *scrubOn {
-		scfg.Scrub = serve.ScrubConfig{
-			Enabled:     true,
-			Interval:    *scrubInterval,
-			VerifyIters: *verifyIters,
-			Seed:        *seed,
-		}
+		scfg.Scrub = serve.ScrubConfig{Enabled: true, Interval: *scrubInterval}
 	}
 	if *replicas > 1 {
 		scfg.Replicas = replica.Config{
@@ -338,7 +334,20 @@ func run(args []string) error {
 		}
 		fmt.Fprintf(os.Stderr, "scenario %q armed: %d env steps, one per %d served requests (peak wear x%.1f)\n",
 			tl.Spec, tl.Steps(), *scenarioEvery, tl.MaxWearScale())
-		go driveScenario(ctx, tl, srv.Scheduler(), acfg.Device, *scenarioEvery)
+		// Each step re-derives the device from the unmodified base, so
+		// excursions never compound across steps and the sequence replays
+		// exactly.
+		base := acfg.Device
+		go driveServedClock(ctx, srv.Scheduler(), *scenarioEvery, 0, tl.Steps()-1, func(step int) bool {
+			env := tl.At(step)
+			if err := srv.Scheduler().ApplyEnv(env.Apply(base)); err != nil {
+				fmt.Fprintf(os.Stderr, "scenario: %v\n", err)
+				return false
+			}
+			fmt.Fprintf(os.Stderr, "scenario %s: step %d/%d (temp %+.0f K, rtn x%.2f, wear x%.2f, burst x%.2f)\n",
+				tl.Spec, step, tl.Steps()-1, env.TempDeltaK, env.RTNScale, env.WearScale, env.BurstScale)
+			return true
+		})
 	}
 	if *faultSteps > 0 {
 		life := fault.LifetimeParams{
@@ -365,7 +374,18 @@ func run(args []string) error {
 		}
 		fmt.Fprintf(os.Stderr, "fault campaign armed: %d steps, one step per %d served requests (%d remaining)\n",
 			*faultSteps, *faultEvery, runner.Remaining())
-		go driveCampaign(ctx, runner, srv.Scheduler(), *faultSteps, *faultEvery)
+		if runner.Remaining() > 0 {
+			go driveServedClock(ctx, srv.Scheduler(), *faultEvery, 1, *faultSteps, func(step int) bool {
+				events, err := runner.Advance(step)
+				if err != nil {
+					fmt.Fprintf(os.Stderr, "fault campaign: %v\n", err)
+					return false
+				}
+				fmt.Fprintf(os.Stderr, "fault campaign: advanced to step %d/%d (%d events applied)\n",
+					step, *faultSteps, len(events))
+				return runner.Remaining() > 0
+			})
+		}
 	}
 	errc := make(chan error, 1)
 	go func() {
@@ -413,69 +433,27 @@ func run(args []string) error {
 	return nil
 }
 
-// driveCampaign ages the live arrays on the served-request clock: every
-// `every` answered requests it advances the wear-out schedule one step, so
-// the fault arrival order is a deterministic function of load, not of wall
-// time.
-func driveCampaign(ctx context.Context, runner *fault.Runner, sched *serve.Scheduler, steps int, every uint64) {
+// driveServedClock advances a step schedule on the served-request clock:
+// every 50 ms it reads Served(), and once that has crossed k*every for steps
+// above the last one applied it calls apply with the highest such k, capped
+// at last (first is the lowest step it applies). It returns when ctx ends,
+// when apply returns false, or after step last.
+func driveServedClock(ctx context.Context, sched *serve.Scheduler, every uint64, first, last int, apply func(step int) bool) {
 	tick := time.NewTicker(50 * time.Millisecond)
 	defer tick.Stop()
-	applied := 0
-	for runner.Remaining() > 0 {
+	for next := first; next <= last; {
 		select {
 		case <-ctx.Done():
 			return
 		case <-tick.C:
 		}
-		target := int(sched.Served() / every)
-		if target > steps {
-			target = steps
-		}
-		if target <= applied {
+		step := min(int(sched.Served()/every), last)
+		if step < next {
 			continue
 		}
-		events, err := runner.Advance(target)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "fault campaign: %v\n", err)
+		if !apply(step) {
 			return
 		}
-		applied = target
-		fmt.Fprintf(os.Stderr, "fault campaign: advanced to step %d/%d (%d events applied)\n",
-			applied, steps, len(events))
-	}
-}
-
-// driveScenario advances the environment timeline on the served-request
-// clock, mirroring driveCampaign: step k applies once Served() crosses
-// k*every. Each step re-derives the device from the unmodified base, so
-// excursions never compound across steps and the sequence replays exactly.
-func driveScenario(ctx context.Context, tl scenario.Timeline, sched *serve.Scheduler, base noise.DeviceParams, every uint64) {
-	tick := time.NewTicker(50 * time.Millisecond)
-	defer tick.Stop()
-	applied := -1
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-tick.C:
-		}
-		target := int(sched.Served() / every)
-		if target >= tl.Steps() {
-			target = tl.Steps() - 1
-		}
-		if target <= applied {
-			continue
-		}
-		env := tl.At(target)
-		if err := sched.ApplyEnv(env.Apply(base)); err != nil {
-			fmt.Fprintf(os.Stderr, "scenario: %v\n", err)
-			return
-		}
-		applied = target
-		fmt.Fprintf(os.Stderr, "scenario %s: step %d/%d (temp %+.0f K, rtn x%.2f, wear x%.2f, burst x%.2f)\n",
-			tl.Spec, applied, tl.Steps()-1, env.TempDeltaK, env.RTNScale, env.WearScale, env.BurstScale)
-		if applied == tl.Steps()-1 {
-			return
-		}
+		next = step + 1
 	}
 }

@@ -251,8 +251,9 @@ func (e *Engine) VerifyStats() crossbar.VerifyTally {
 // into the retired arrays are gone; the new arrays carry only their own
 // map-time draw. The layer is unavailable to readers for the duration of
 // the reprogram (they block on the slot lock, as real reprogramming stalls
-// reads). Remap also clears the software-fallback flag: fresh hardware is
-// trusted until the monitor says otherwise.
+// reads). Remap keeps the layer's software-fallback flag: whether a
+// degraded or drained layer returns to crossbars is SetFallback's call,
+// so no reader sees the fresh arrays before that.
 func (e *Engine) Remap(layer int) error {
 	sl := e.slot(layer)
 	if sl == nil {
@@ -268,7 +269,6 @@ func (e *Engine) Remap(layer int) error {
 	sl.m = m
 	sl.remaps = epoch
 	sl.mapDev = sl.dev
-	sl.fallback = false
 	return nil
 }
 

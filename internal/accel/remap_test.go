@@ -142,12 +142,19 @@ func TestFallbackServesSoftware(t *testing.T) {
 		t.Fatalf("%d crossbar row reads while fully degraded", st.RowReads)
 	}
 
-	// Remap brings the layer back onto (fresh) hardware and clears the flag.
+	// Remap moves the layer onto fresh hardware but keeps it on software;
+	// clearing the flag brings it back onto crossbars.
 	if err := eng.Remap(0); err != nil {
 		t.Fatal(err)
 	}
+	if !eng.Fallback(0) {
+		t.Fatal("remap cleared the fallback flag")
+	}
+	if err := eng.SetFallback(0, false); err != nil {
+		t.Fatal(err)
+	}
 	if eng.Fallback(0) {
-		t.Fatal("remap did not clear the fallback flag")
+		t.Fatal("SetFallback(0, false) left the layer on software")
 	}
 	if eng.Fallback(2) != true {
 		t.Fatal("remap of layer 0 disturbed layer 2's fallback state")

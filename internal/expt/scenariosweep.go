@@ -153,20 +153,17 @@ func runScenarioArm(w Workload, cfg ScenarioSweepConfig, devName string, dev noi
 		return nil, err
 	}
 	scfg := serve.Config{
-		Workers: 1, QueueDepth: 16, TopK: 1,
+		Workers: 1, QueueDepth: 16, TopK: 1, Manual: true,
 		Recovery: serve.RecoveryConfig{
 			Enabled:       true,
 			Monitor:       fault.MonitorConfig{Window: 2048, MinReads: 64, TripRate: 0.05},
 			RetryAttempts: 1, RetryBackoff: -1, MaxRemaps: 1,
 		},
-		Scrub: serve.ScrubConfig{
-			Enabled: true, Manual: true,
-			Interval: baseScrubInterval, Seed: cfg.Seed,
-		},
+		Scrub: serve.ScrubConfig{Enabled: true, Interval: baseScrubInterval},
 	}
 	if arm == ArmAdaptive {
 		scfg.Controller = serve.ControllerConfig{
-			Enabled: true, Manual: true,
+			Enabled:     true,
 			TightenRate: cfg.TightenRate,
 			Hysteresis:  1, Cooldown: 1, MaxLevel: 3,
 		}

@@ -188,19 +188,13 @@ func (s *Scrubber) PatrolLayer(layer int) (Report, error) {
 
 // Reprogram remaps one layer of eng onto spare arrays and verifies the new
 // arrays with one patrol pass under cfg: the repair cycle of a replica's
-// spatial failover and of a drained shard. The layer's software-fallback
-// flag is left as it was found. Engine.Remap clears it, but whether a
-// degraded or drained layer returns to crossbars is the ladder's or the
-// operator's call (Rejoin), never a side effect of a repair.
+// spatial failover and of a drained shard. Engine.Remap keeps the layer's
+// software-fallback flag, so a degraded or drained layer returns to
+// crossbars only on the ladder's or the operator's call (Rejoin), never as
+// a side effect of a repair.
 func Reprogram(eng *accel.Engine, layer int, cfg Config) (Report, error) {
-	degraded := eng.Fallback(layer)
 	if err := eng.Remap(layer); err != nil {
 		return Report{}, err
-	}
-	if degraded {
-		if err := eng.SetFallback(layer, true); err != nil {
-			return Report{}, err
-		}
 	}
 	return New(eng, cfg).PatrolLayer(layer)
 }

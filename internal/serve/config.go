@@ -62,9 +62,8 @@ type Config struct {
 	// profiling endpoints on a serving port are an operator opt-in.
 	Pprof bool
 	// Scrub wires the proactive patrol scrubber into the pool — the
-	// counterpart to Recovery that repairs arrays during idle slots before
-	// errors can trip a breaker. Disabled by default for the same
-	// determinism reason.
+	// counterpart to Recovery that repairs arrays before errors can trip a
+	// breaker. Disabled by default for the same determinism reason.
 	Scrub ScrubConfig
 	// Replicas programs every shard's layers onto N independent array sets
 	// fronted by a health-aware router: spatial failover ahead of the
@@ -99,7 +98,16 @@ type Config struct {
 	// boot-time restore that resumes the persisted lifetime trajectory.
 	// Disabled unless Persist.Dir is set.
 	Persist PersistConfig
+	// Manual starts no maintenance goroutine: patrol passes, controller
+	// ticks and periodic snapshots run only when the owner calls PatrolNow,
+	// ControllerTick and SnapshotNow (the Close-time flush stays).
+	// Deterministic sweeps and drills use it to put every maintenance duty
+	// on the request-step clock.
+	Manual bool
 
+	// persistPoll is how often the maintenance loop reads the wear clock
+	// for a due snapshot (0 = 250ms; tests shorten it).
+	persistPoll time.Duration
 	// dequeueHook, when set, runs in the worker loop after each dequeue and
 	// before deadline checks (test instrumentation: lets tests hold a
 	// worker mid-job to fill the queue deterministically).
@@ -127,6 +135,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 16
+	}
+	if c.persistPoll <= 0 {
+		c.persistPoll = 250 * time.Millisecond
 	}
 	return c
 }
@@ -159,9 +170,6 @@ func (c Config) Validate() error {
 		return err
 	}
 	if err := c.Controller.Validate(); err != nil {
-		return err
-	}
-	if err := c.Persist.Validate(); err != nil {
 		return err
 	}
 	if c.Controller.Enabled && !c.Recovery.Enabled {

@@ -10,29 +10,24 @@ import (
 	"repro/internal/predict"
 )
 
-// ControllerConfig wires the closed-loop protection controller: a decision
-// loop that watches the health monitor's measured rates, replica breaker
-// state, and scrub tallies, and adjusts the deployed protection — patrol
-// cadence, vote threshold, proactive replica maintenance, pre-emptive
-// degradation — inside the SLO instead of waiting for breakers to trip.
+// ControllerConfig wires the closed-loop protection controller: a
+// maintenance duty that watches the health monitor's measured rates,
+// replica breaker state, and scrub tallies, and adjusts the deployed
+// protection — patrol cadence, vote threshold, proactive replica
+// maintenance, pre-emptive degradation — inside the SLO instead of waiting
+// for breakers to trip.
 type ControllerConfig struct {
 	// Enabled starts the controller. Requires Recovery.Enabled: the
 	// monitor is the controller's sensor.
 	Enabled bool
-	// Manual builds the controller without its background loop; decisions
-	// run only via Scheduler.ControllerTick. Deterministic sweeps and
-	// drills use this to put control on the request-step clock.
-	Manual bool
-	// Interval is the decision tick (0 = 1s; ignored in Manual mode).
+	// Interval is the decision tick (0 = 1s; ignored with Config.Manual).
 	Interval time.Duration
 	// TightenRate is the worst per-layer detected-uncorrectable rate at
 	// which the controller starts counting toward a tighten (0 = 0.01).
-	// An open breaker anywhere also counts as pressure.
+	// An open breaker anywhere also counts as pressure. At or below a
+	// quarter of it the controller counts toward a relax; the band between
+	// the two is the deadband: neither streak advances, both reset.
 	TightenRate float64
-	// RelaxRate is the rate below which it counts toward a relax
-	// (0 = TightenRate/4). The band between the two is the deadband:
-	// neither streak advances, both reset.
-	RelaxRate float64
 	// Hysteresis is how many consecutive ticks a signal must persist
 	// before the protection level moves (0 = 3).
 	Hysteresis int
@@ -41,16 +36,15 @@ type ControllerConfig struct {
 	// (0 = 2).
 	Cooldown int
 	// MaxLevel bounds protection tightening (0 = 3). Level L halves the
-	// patrol interval L times and lowers the vote threshold by L.
+	// patrol interval L times, down to an eighth of the configured one,
+	// and lowers the vote threshold by L.
 	MaxLevel int
-	// MinScrubInterval floors cadence tightening (0 = base interval / 8).
-	MinScrubInterval time.Duration
-	// PredictEvery runs the SLO planner recalibration every this many
-	// ticks, pre-emptively degrading the worst-measured layer when the
-	// recalibrated prediction breaches the SLO (0 = 8; negative disables;
-	// ignored unless Plan.Calibration is configured).
-	PredictEvery int
 }
+
+// predictEvery is how many ticks pass between SLO planner recalibrations,
+// which pre-emptively degrade the worst-measured layer when the
+// recalibrated prediction breaches the SLO (only with Plan.Calibration).
+const predictEvery = 8
 
 func (c ControllerConfig) withDefaults() ControllerConfig {
 	if c.Interval <= 0 {
@@ -58,9 +52,6 @@ func (c ControllerConfig) withDefaults() ControllerConfig {
 	}
 	if c.TightenRate == 0 {
 		c.TightenRate = 0.01
-	}
-	if c.RelaxRate == 0 {
-		c.RelaxRate = c.TightenRate / 4
 	}
 	if c.Hysteresis <= 0 {
 		c.Hysteresis = 3
@@ -70,9 +61,6 @@ func (c ControllerConfig) withDefaults() ControllerConfig {
 	}
 	if c.MaxLevel <= 0 {
 		c.MaxLevel = 3
-	}
-	if c.PredictEvery == 0 {
-		c.PredictEvery = 8
 	}
 	return c
 }
@@ -87,14 +75,8 @@ func (c ControllerConfig) Validate() error {
 		return fmt.Errorf("serve: negative controller interval %v", c.Interval)
 	case c.TightenRate < 0 || c.TightenRate > 1:
 		return fmt.Errorf("serve: controller tighten rate %g out of [0,1]", c.TightenRate)
-	case c.RelaxRate < 0 || c.RelaxRate > 1:
-		return fmt.Errorf("serve: controller relax rate %g out of [0,1]", c.RelaxRate)
-	case c.RelaxRate != 0 && c.TightenRate != 0 && c.RelaxRate > c.TightenRate:
-		return fmt.Errorf("serve: controller relax rate %g above tighten rate %g", c.RelaxRate, c.TightenRate)
 	case c.Hysteresis < 0 || c.Cooldown < 0 || c.MaxLevel < 0:
 		return fmt.Errorf("serve: negative controller hysteresis/cooldown/level")
-	case c.MinScrubInterval < 0:
-		return fmt.Errorf("serve: negative controller scrub floor %v", c.MinScrubInterval)
 	}
 	return nil
 }
@@ -126,13 +108,14 @@ type controllerCore struct {
 // step advances the state machine one tick. It returns the new level and
 // whether this tick tightened or relaxed it. Pressure above TightenRate
 // (or any open breaker) must persist Hysteresis consecutive ticks to raise
-// the level; calm below RelaxRate with no open breakers must persist the
+// the level; calm at or below TightenRate/4 with no open breakers must
+// persist the
 // same way to lower it; the deadband between resets both streaks. After any
 // change the core refuses further changes for Cooldown ticks, so a signal
 // oscillating across a threshold cannot flap the level.
 func (c *controllerCore) step(obs ctlObservation) (level int, tightened, relaxed bool) {
 	pressure := obs.rate >= c.cfg.TightenRate || obs.openBreakers > 0
-	calm := obs.rate <= c.cfg.RelaxRate && obs.openBreakers == 0
+	calm := obs.rate <= c.cfg.TightenRate/4 && obs.openBreakers == 0
 	switch {
 	case pressure:
 		c.tightenStreak++
@@ -189,65 +172,27 @@ type controller struct {
 	baseScrub time.Duration
 	baseVote  int
 
-	stop     chan struct{}
-	stopOnce sync.Once
-	done     chan struct{}
-
 	mu        sync.Mutex
 	core      controllerCore
 	ticks     uint64
 	decisions map[string]uint64
 }
 
+// newController builds the controller; boot-time state restoration
+// reinstates the core's level before the maintenance loop's first tick.
 func newController(sched *Scheduler, cfg ControllerConfig) *controller {
 	cfg = cfg.withDefaults()
 	c := &controller{
 		sched:     sched,
 		cfg:       cfg,
 		core:      controllerCore{cfg: cfg},
-		stop:      make(chan struct{}),
-		done:      make(chan struct{}),
 		decisions: make(map[string]uint64),
+		baseVote:  sched.cfg.Replicas.VoteThreshold,
 	}
 	if sched.pat != nil {
 		c.baseScrub = sched.pat.baseInterval
-		if c.cfg.MinScrubInterval <= 0 {
-			c.cfg.MinScrubInterval = c.baseScrub / 8
-		}
 	}
-	c.baseVote = sched.cfg.Replicas.VoteThreshold
 	return c
-}
-
-// start launches the decision loop (or, in manual mode, marks it finished so
-// halt does not wait for one). Split from the constructor so boot-time state
-// restoration can reinstate the core's level before the first tick.
-func (c *controller) start() {
-	if c.cfg.Manual {
-		close(c.done)
-		return
-	}
-	go c.run()
-}
-
-func (c *controller) run() {
-	defer close(c.done)
-	ticker := time.NewTicker(c.cfg.Interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-c.stop:
-			return
-		case <-ticker.C:
-			c.tick()
-		}
-	}
-}
-
-// halt stops the decision loop and waits for it to exit. Idempotent.
-func (c *controller) halt() {
-	c.stopOnce.Do(func() { close(c.stop) })
-	<-c.done
 }
 
 // stateSnapshot captures the controller's durable core: the protection level
@@ -285,7 +230,7 @@ func (c *controller) checkState(st persist.ControllerState) error {
 
 // restoreState reinstates a persisted controller core and moves the
 // actuators (patrol cadence, vote threshold) to the restored level. Must run
-// before the decision loop starts.
+// before the maintenance loop starts.
 func (c *controller) restoreState(st persist.ControllerState) error {
 	if err := c.checkState(st); err != nil {
 		return err
@@ -349,7 +294,7 @@ func (c *controller) tick() []string {
 			actions = append(actions, "repair")
 		}
 	}
-	if c.cfg.PredictEvery > 0 && ticks%uint64(c.cfg.PredictEvery) == 0 {
+	if ticks%predictEvery == 0 {
 		if a := c.predictAndPreempt(); a != "" {
 			actions = append(actions, a)
 		}
@@ -366,15 +311,11 @@ func (c *controller) tick() []string {
 }
 
 // applyLevel moves the actuators to a protection level: patrol cadence
-// halves per level down to the floor, and the vote threshold drops by one
-// per level (voting sooner) to a floor of 1.
+// halves per level down to an eighth of the base, and the vote threshold
+// drops by one per level (voting sooner) to a floor of 1.
 func (c *controller) applyLevel(level int) {
-	if c.sched.pat != nil && c.baseScrub > 0 {
-		d := c.baseScrub >> uint(level)
-		if d < c.cfg.MinScrubInterval {
-			d = c.cfg.MinScrubInterval
-		}
-		c.sched.pat.setInterval(d)
+	if c.sched.pat != nil {
+		c.sched.pat.setInterval(max(c.baseScrub>>uint(level), c.baseScrub/8))
 	}
 	for _, set := range c.sched.ReplicaSets() {
 		set.SetVoteThreshold(c.voteFor(level))
@@ -497,14 +438,14 @@ func (c *controller) status() ControllerStatus {
 }
 
 // ControllerTick runs one synchronous decision cycle, returning the applied
-// action names. Only manual-mode controllers allow it — a running
-// background loop owns the decision cadence.
+// action names. Only a Manual scheduler allows it — otherwise the
+// maintenance loop owns the decision cadence.
 func (s *Scheduler) ControllerTick() ([]string, error) {
 	if s.ctl == nil {
 		return nil, fmt.Errorf("serve: controller is disabled")
 	}
-	if !s.ctl.cfg.Manual {
-		return nil, fmt.Errorf("serve: controller runs in the background; ControllerTick needs ControllerConfig.Manual")
+	if !s.cfg.Manual {
+		return nil, fmt.Errorf("serve: maintenance runs in the background; ControllerTick needs Config.Manual")
 	}
 	return s.ctl.tick(), nil
 }

@@ -16,9 +16,9 @@ import (
 // tick arithmetic in these tests is readable.
 func coreConfig() ControllerConfig {
 	return ControllerConfig{
-		Enabled: true, Manual: true,
-		TightenRate: 0.01, RelaxRate: 0.0025,
-		Hysteresis: 3, Cooldown: 2, MaxLevel: 3,
+		Enabled:     true,
+		TightenRate: 0.01,
+		Hysteresis:  3, Cooldown: 2, MaxLevel: 3,
 	}.withDefaults()
 }
 
@@ -129,10 +129,11 @@ func TestControllerManualActuation(t *testing.T) {
 	base := 800 * time.Millisecond
 	s, err := NewScheduler(eng, Config{
 		Workers:  1,
+		Manual:   true,
 		Recovery: recoveryConfig(1),
-		Scrub:    ScrubConfig{Enabled: true, Manual: true, Interval: base},
+		Scrub:    ScrubConfig{Enabled: true, Interval: base},
 		Controller: ControllerConfig{
-			Enabled: true, Manual: true,
+			Enabled:     true,
 			TightenRate: 0.01, Hysteresis: 2, Cooldown: 1, MaxLevel: 2,
 		},
 	})
@@ -196,7 +197,8 @@ func TestControllerSeesShardReplicaBreakers(t *testing.T) {
 			eng := quietEngine4(t)
 			cfg := shardTestConfig(shards)
 			cfg.Workers = 1
-			cfg.Controller = ControllerConfig{Enabled: true, Manual: true}
+			cfg.Manual = true
+			cfg.Controller = ControllerConfig{Enabled: true}
 			s, err := NewScheduler(eng, cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -292,8 +294,9 @@ func TestControllerBackgroundSmoke(t *testing.T) {
 func TestMetricsExposeDeviceAndController(t *testing.T) {
 	srv := testServer(t, 0, Config{
 		Workers:    1,
+		Manual:     true,
 		Recovery:   recoveryConfig(1),
-		Controller: ControllerConfig{Enabled: true, Manual: true},
+		Controller: ControllerConfig{Enabled: true},
 	})
 	req := httptest.NewRequest(http.MethodGet, "/metrics", nil)
 	rec := httptest.NewRecorder()

@@ -63,9 +63,10 @@ func runExcursionDrill(t *testing.T, tl scenario.Timeline, seeds []uint64, ref m
 	// un-tripped — the window where only the controller acts.
 	cfg.Replicas.Monitor.MinReads = 4096
 	cfg.Recovery.Monitor.MinReads = 2000
-	cfg.Scrub = ScrubConfig{Enabled: true, Manual: true, Interval: 800 * time.Millisecond, Seed: 7}
+	cfg.Manual = true
+	cfg.Scrub = ScrubConfig{Enabled: true, Interval: 800 * time.Millisecond}
 	cfg.Controller = ControllerConfig{
-		Enabled: true, Manual: true,
+		Enabled:     true,
 		TightenRate: 0.01, Hysteresis: 2, Cooldown: 1, MaxLevel: 2,
 	}
 	srv, err := NewServer(eng, Model{Name: "tiny", InShape: []int{16}}, cfg)

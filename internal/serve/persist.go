@@ -12,24 +12,18 @@ import (
 )
 
 // PersistConfig wires crash-consistent state persistence into the pool: a
-// background snapshotter that periodically captures the full device +
-// protection state off the request path, and a boot-time restore that
-// resumes the exact lifetime trajectory the previous process was killed in.
+// maintenance duty that periodically captures the full device + protection
+// state off the request path, and a boot-time restore that resumes the
+// exact lifetime trajectory the previous process was killed in.
 type PersistConfig struct {
 	// Dir is the state directory. Empty disables persistence entirely.
 	Dir string
 	// Every is how many served requests may elapse between snapshots
 	// (0 = 256). Snapshots ride the wear clock, not wall time, so an idle
-	// pool writes nothing.
+	// pool writes nothing. The maintenance loop polls the served counter,
+	// which keeps the Forward hot path free of any persistence hooks —
+	// workers never see the snapshotter.
 	Every uint64
-	// Poll is how often the snapshotter checks the served counter
-	// (0 = 250ms). Polling keeps the Forward hot path free of any
-	// persistence hooks — workers never see the snapshotter.
-	Poll time.Duration
-	// Manual builds the persister without its background loop: snapshots
-	// are taken only via Scheduler.SnapshotNow (and the Close-time flush).
-	// Deterministic drills use this to snapshot on the request-step clock.
-	Manual bool
 }
 
 // withDefaults resolves the zero values.
@@ -37,21 +31,7 @@ func (c PersistConfig) withDefaults() PersistConfig {
 	if c.Every == 0 {
 		c.Every = 256
 	}
-	if c.Poll <= 0 {
-		c.Poll = 250 * time.Millisecond
-	}
 	return c
-}
-
-// Validate rejects nonsensical persistence settings.
-func (c PersistConfig) Validate() error {
-	if c.Dir == "" {
-		return nil
-	}
-	if c.Poll < 0 {
-		return fmt.Errorf("serve: negative persist poll interval %v", c.Poll)
-	}
-	return nil
 }
 
 // RestoreOutcome classifies what the boot-time restore did.
@@ -92,16 +72,12 @@ type PersistStatus struct {
 	LastServed uint64
 }
 
-// persister owns the snapshot lifecycle: boot-time restore, the background
-// save loop, and the Close-time flush. All saves serialize through mu so a
-// manual SnapshotNow cannot interleave with the loop.
+// persister owns the snapshot lifecycle: boot-time restore, the periodic
+// save, and the Close-time flush. All saves serialize through mu so a
+// SnapshotNow cannot interleave with the maintenance loop's.
 type persister struct {
 	sched *Scheduler
 	cfg   PersistConfig
-
-	stop     chan struct{}
-	stopOnce sync.Once
-	done     chan struct{}
 
 	mu          sync.Mutex
 	outcome     RestoreOutcome
@@ -117,20 +93,14 @@ type persister struct {
 }
 
 func newPersister(sched *Scheduler, cfg PersistConfig) *persister {
-	return &persister{
-		sched:   sched,
-		cfg:     cfg.withDefaults(),
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
-		outcome: RestoreFresh,
-	}
+	return &persister{sched: sched, cfg: cfg.withDefaults(), outcome: RestoreFresh}
 }
 
 // bootRestore loads and applies the snapshot in the state directory. It runs
-// before any worker, patrol, controller, or persister goroutine starts, so
-// it owns every subsystem. A missing snapshot is a fresh boot; a refused one
-// (corrupt, version-mismatched, or inconsistent with this configuration)
-// records the fallback outcome and leaves the pool exactly as freshly built
+// before any worker or the maintenance goroutine starts, so it owns every
+// subsystem. A missing snapshot is a fresh boot; a refused one (corrupt,
+// version-mismatched, or inconsistent with this configuration) records
+// the fallback outcome and leaves the pool exactly as freshly built
 // — the refusal path is fully pre-validated so nothing is half-applied. The
 // only errors returned are apply-phase failures that validation cannot rule
 // out (a mapping-pipeline rebuild error), which abort the boot rather than
@@ -253,43 +223,16 @@ func (per *persister) takeRestoredCampaign() *fault.RunnerState {
 	return cs
 }
 
-// start launches the save loop (or, in manual mode, marks it finished so
-// haltLoop does not wait for one).
-func (per *persister) start() {
-	if per.cfg.Manual {
-		close(per.done)
-		return
+// snapshotIfDue snapshots once Every requests have been served since the
+// last snapshot — the maintenance loop's persistence duty. Failure is
+// recorded in status.
+func (per *persister) snapshotIfDue() {
+	per.mu.Lock()
+	due := per.sched.Served()-per.lastServed >= per.cfg.Every
+	per.mu.Unlock()
+	if due {
+		_ = per.snapshotOnce()
 	}
-	go per.run()
-}
-
-// run is the save loop: poll the wear clock, snapshot once enough requests
-// have been served since the last snapshot. The loop never touches the
-// request path — workers do not know it exists.
-func (per *persister) run() {
-	defer close(per.done)
-	ticker := time.NewTicker(per.cfg.Poll)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-per.stop:
-			return
-		case <-ticker.C:
-			served := per.sched.Served()
-			per.mu.Lock()
-			due := served-per.lastServed >= per.cfg.Every
-			per.mu.Unlock()
-			if due {
-				_ = per.snapshotOnce() // failure is recorded in status
-			}
-		}
-	}
-}
-
-// haltLoop stops the save loop and waits for it to exit. Idempotent.
-func (per *persister) haltLoop() {
-	per.stopOnce.Do(func() { close(per.stop) })
-	<-per.done
 }
 
 // snapshotOnce captures the full state tree and writes it atomically.
@@ -376,7 +319,7 @@ func (s *Scheduler) buildState() *persist.State {
 
 // SnapshotNow captures and atomically publishes a snapshot immediately,
 // regardless of the wear clock. Safe concurrently with live traffic and the
-// background loop.
+// maintenance loop.
 func (s *Scheduler) SnapshotNow() error {
 	if s.per == nil {
 		return fmt.Errorf("serve: persistence is disabled")

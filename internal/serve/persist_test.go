@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/accel"
 	"repro/internal/fault"
 	"repro/internal/persist"
 )
@@ -36,12 +37,13 @@ func drillScheduler(t *testing.T, stateDir string) (*Scheduler, *fault.Runner) {
 	cfg := Config{
 		Workers:    1,
 		QueueDepth: 16,
+		Manual:     true,
 		Recovery:   recoveryConfig(1),
-		Scrub:      ScrubConfig{Enabled: true, Manual: true},
-		Controller: ControllerConfig{Enabled: true, Manual: true},
+		Scrub:      ScrubConfig{Enabled: true},
+		Controller: ControllerConfig{Enabled: true},
 	}
 	if stateDir != "" {
-		cfg.Persist = PersistConfig{Dir: stateDir, Manual: true}
+		cfg.Persist = PersistConfig{Dir: stateDir}
 	}
 	s, err := NewScheduler(eng, cfg)
 	if err != nil {
@@ -174,7 +176,7 @@ func TestCorruptSnapshotFallsBackFresh(t *testing.T) {
 	}
 
 	eng, net := testEngine(t, 0)
-	cfg := Config{Workers: 2, QueueDepth: 16, Persist: PersistConfig{Dir: dir, Manual: true}}
+	cfg := Config{Workers: 2, QueueDepth: 16, Manual: true, Persist: PersistConfig{Dir: dir}}
 	srv, err := NewServer(eng, Model{Name: net.Name, InShape: net.InShape}, cfg)
 	if err != nil {
 		t.Fatalf("corrupt snapshot must not fail the boot: %v", err)
@@ -233,7 +235,7 @@ func TestSnapshotRefusedAcrossConfigs(t *testing.T) {
 	}
 
 	eng, _ := testEngine(t, 0)
-	cfg := Config{Workers: 1, Persist: PersistConfig{Dir: dir, Manual: true}}
+	cfg := Config{Workers: 1, Manual: true, Persist: PersistConfig{Dir: dir}}
 	// Same engine, but a pool without recovery armed: the snapshot carries
 	// monitor + controller state this configuration cannot host.
 	s, err := NewScheduler(eng, cfg)
@@ -257,7 +259,7 @@ func TestBackgroundSnapshotterWritesOffHotPath(t *testing.T) {
 	dir := t.TempDir()
 	eng, _ := testEngine(t, 0)
 	cfg := Config{Workers: 2, QueueDepth: 16,
-		Persist: PersistConfig{Dir: dir, Every: 4, Poll: 2 * time.Millisecond}}
+		Persist: PersistConfig{Dir: dir, Every: 4}, persistPoll: 2 * time.Millisecond}
 	s, err := NewScheduler(eng, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -288,7 +290,7 @@ func TestRaceSnapshotNowVsTraffic(t *testing.T) {
 	dir := t.TempDir()
 	eng, _ := testEngine(t, 0.005)
 	cfg := Config{Workers: 4, QueueDepth: 64, Recovery: recoveryConfig(1),
-		Persist: PersistConfig{Dir: dir, Manual: true}}
+		Manual: true, Persist: PersistConfig{Dir: dir}}
 	s, err := NewScheduler(eng, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -399,7 +401,8 @@ func TestReplicaRestartRestoresDetachState(t *testing.T) {
 		cfg := replicaTestConfig(2)
 		cfg.Workers = 1
 		if stateDir != "" {
-			cfg.Persist = PersistConfig{Dir: stateDir, Manual: true}
+			cfg.Manual = true
+			cfg.Persist = PersistConfig{Dir: stateDir}
 		}
 		s, err := NewScheduler(eng, cfg)
 		if err != nil {
@@ -483,7 +486,7 @@ func TestReplicaRestartRestoresDetachState(t *testing.T) {
 func TestWarmPredictAllocBoundWithPersist(t *testing.T) {
 	eng, _ := testEngine(t, 0)
 	cfg := Config{Workers: 1,
-		Persist: PersistConfig{Dir: t.TempDir(), Every: 1 << 62, Poll: time.Millisecond}}
+		Persist: PersistConfig{Dir: t.TempDir(), Every: 1 << 62}, persistPoll: time.Millisecond}
 	s, err := NewScheduler(eng, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -519,7 +522,7 @@ func TestWarmPredictAllocBoundWithPersist(t *testing.T) {
 func BenchmarkPredictPersistArmed(b *testing.B) {
 	eng, _ := testEngine(b, 0)
 	cfg := Config{Workers: 1,
-		Persist: PersistConfig{Dir: b.TempDir(), Every: 64, Poll: time.Millisecond}}
+		Persist: PersistConfig{Dir: b.TempDir(), Every: 64}, persistPoll: time.Millisecond}
 	s, err := NewScheduler(eng, cfg)
 	if err != nil {
 		b.Fatal(err)
@@ -566,5 +569,62 @@ func TestBuildStateCountsAnsweredRequest(t *testing.T) {
 		if st.ECC.RowReads != rowReads {
 			t.Fatalf("request %d answered but the snapshot counts %d row reads, want %d", i, st.ECC.RowReads, rowReads)
 		}
+	}
+}
+
+// TestRestoredLevelAppliesBeforeFirstTick: a background replicated pool
+// booted from a snapshot taken at protection level 2 serves at level 2's
+// patrol cadence and vote threshold before its maintenance loop has ticked
+// once — the loop arms its timers after the restore.
+func TestRestoredLevelAppliesBeforeFirstTick(t *testing.T) {
+	dir := t.TempDir()
+	const base = time.Hour
+	build := func(manual bool) *Scheduler {
+		cfg := replicaTestConfig(2)
+		cfg.Workers = 1
+		cfg.Manual = manual
+		cfg.Replicas.VoteThreshold = 4
+		cfg.Scrub = ScrubConfig{Enabled: true, Interval: base}
+		cfg.Controller = ControllerConfig{Enabled: true, Interval: time.Hour, Hysteresis: 1, Cooldown: 1}
+		cfg.Persist = PersistConfig{Dir: dir}
+		s, err := NewScheduler(quietEngine(t), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+
+	// Run A tightens to level 2 on the manual clock, then flushes its
+	// snapshot on Close.
+	runA := build(true)
+	var want ControllerStatus
+	for i := 0; i < 10 && want.Level < 2; i++ {
+		runA.Monitor().Observe(map[int]accel.Stats{0: {Clean: 98, Detected: 2}})
+		if _, err := runA.ControllerTick(); err != nil {
+			t.Fatal(err)
+		}
+		want, _ = runA.ControllerStatus()
+	}
+	if want.Level != 2 || want.ScrubInterval != base/4 || want.VoteThreshold != 2 {
+		t.Fatalf("run A never reached level 2 at base/4 and vote threshold 2: %+v", want)
+	}
+	if _, err := runA.Close(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	runB := build(false)
+	defer runB.Close(context.Background())
+	if ps, ok := runB.PersistStatus(); !ok || ps.Outcome != RestoreRestored {
+		t.Fatalf("restart did not restore: %+v", ps)
+	}
+	got, _ := runB.ControllerStatus()
+	if got.Ticks != want.Ticks {
+		t.Fatalf("maintenance loop ticked before the check: %d ticks, want %d", got.Ticks, want.Ticks)
+	}
+	if got.Level != 2 || runB.ScrubInterval() != base/4 {
+		t.Fatalf("restored level %d at patrol interval %v, want 2 at %v", got.Level, runB.ScrubInterval(), base/4)
+	}
+	if th := runB.ReplicaSet().VoteThreshold(); th != want.VoteThreshold {
+		t.Fatalf("restored vote threshold %d, want the level-2 value %d", th, want.VoteThreshold)
 	}
 }

@@ -298,10 +298,7 @@ func (s *Scheduler) repairSetLayer(set *replica.Set, layer int, openOnly bool) i
 		if err := set.Detach(r); err != nil {
 			continue // last attached replica: someone must keep serving
 		}
-		rep, err := scrub.Reprogram(eng, layer, scrub.Config{
-			VerifyIters: eng.Config().VerifyIters,
-			Seed:        eng.Config().Seed,
-		})
+		rep, err := scrub.Reprogram(eng, layer, engineScrub(eng))
 		// Rejoin either way: a copy that failed verification re-earns (or
 		// re-loses) trust from fresh evidence, and its breaker steers
 		// traffic away again if the damage persists.

@@ -127,15 +127,16 @@ type Scheduler struct {
 	// copies; each shard's first copy is a view of the engine's arrays.
 	pool *shard.Pool
 
-	// pat is the background patrol scrubber (nil when disabled).
+	// The maintenance duties, nil when disabled: the patrol scrubber, the
+	// closed-loop protection controller, and the crash-consistency
+	// snapshotter. One goroutine (maintain) runs all three unless Manual.
 	pat *patroller
-
-	// ctl is the closed-loop protection controller (nil when disabled).
 	ctl *controller
-
-	// per is the crash-consistency snapshotter (nil when persistence is
-	// disabled).
 	per *persister
+	// stopMaint ends the maintenance goroutine, and maintDone is closed when
+	// it has exited (both nil when none runs).
+	stopMaint context.CancelFunc
+	maintDone chan struct{}
 
 	// camp is the fault-campaign runner registered via SetCampaign, so
 	// snapshots capture its cursor (nil when no campaign drives the pool).
@@ -169,8 +170,8 @@ func NewScheduler(eng *accel.Engine, cfg Config) (*Scheduler, error) {
 	s := &Scheduler{cfg: cfg, eng: eng, queue: make(chan *job, cfg.QueueDepth), rec: rec, pool: pool}
 	// Assemble every subsystem before starting any goroutine, so the
 	// boot-time restore owns the whole pool and either applies a snapshot
-	// completely or refuses it completely — traffic and background loops
-	// never see a half-restored engine.
+	// completely or refuses it completely — traffic and maintenance never
+	// see a half-restored engine.
 	if cfg.Scrub.Enabled {
 		s.pat = newPatroller(s, cfg.Scrub)
 	}
@@ -187,16 +188,56 @@ func NewScheduler(eng *accel.Engine, cfg Config) (*Scheduler, error) {
 		s.wg.Add(1)
 		go s.worker(uint64(i))
 	}
-	if s.pat != nil {
-		s.pat.start()
-	}
-	if s.ctl != nil {
-		s.ctl.start()
-	}
-	if s.per != nil {
-		s.per.start()
+	if !cfg.Manual && (s.pat != nil || s.ctl != nil || s.per != nil) {
+		ctx, stop := context.WithCancel(context.Background())
+		s.stopMaint, s.maintDone = stop, make(chan struct{})
+		go s.maintain(ctx)
 	}
 	return s, nil
+}
+
+// maintain is the pool's one maintenance goroutine. Each enabled duty runs
+// on its own cadence, one at a time: a patrol pass per live patrol interval
+// (re-read after every pass, so a controller retune applies at the next
+// wait, and only in idle slots when no copy can be detached), a controller
+// tick per Controller.Interval, and a snapshot once Persist.Every requests
+// have been served since the last one, checked every persistPoll. The
+// timers are armed here, after the boot-time restore, so a restored
+// protection level's cadence applies from the first wait.
+func (s *Scheduler) maintain(ctx context.Context) {
+	defer close(s.maintDone)
+	var patrol, decide, poll <-chan time.Time // a nil channel never fires
+	var patrolTimer *time.Timer
+	if s.pat != nil {
+		patrolTimer = time.NewTimer(s.pat.interval())
+		defer patrolTimer.Stop()
+		patrol = patrolTimer.C
+	}
+	if s.ctl != nil {
+		t := time.NewTicker(s.ctl.cfg.Interval)
+		defer t.Stop()
+		decide = t.C
+	}
+	if s.per != nil {
+		t := time.NewTicker(s.cfg.persistPoll)
+		defer t.Stop()
+		poll = t.C
+	}
+	for {
+		select {
+		case <-ctx.Done():
+			return
+		case <-patrol:
+			if s.pat.detachable || (s.inflight.Load() == 0 && s.QueueLen() == 0) {
+				s.pat.patrolOnce()
+			}
+			patrolTimer.Reset(s.pat.interval())
+		case <-decide:
+			s.ctl.tick()
+		case <-poll:
+			s.per.snapshotIfDue()
+		}
+	}
 }
 
 // ApplyEnv retunes every programmed copy to an environment-adjusted device
@@ -621,17 +662,12 @@ type DrainSummary struct {
 // returns ctx's error together with a partial summary counting the
 // requests left behind, so operators still see what the pool did.
 func (s *Scheduler) Close(ctx context.Context) (DrainSummary, error) {
-	// Halt the controller first (it turns the patroller's knobs), then the
-	// patroller: a patrol pass holds a layer write lock, and draining
-	// workers must not compete with background repairs on the way out.
-	if s.ctl != nil {
-		s.ctl.halt()
-	}
-	if s.pat != nil {
-		s.pat.halt()
-	}
-	if s.per != nil {
-		s.per.haltLoop()
+	// Halt maintenance first: a patrol pass holds a layer write lock, and
+	// draining workers must not compete with background repairs on the way
+	// out.
+	if s.stopMaint != nil {
+		s.stopMaint()
+		<-s.maintDone
 	}
 	s.mu.Lock()
 	if !s.closed {

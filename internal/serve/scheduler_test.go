@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand/v2"
+	"runtime"
 	"testing"
 	"time"
 
@@ -325,5 +326,61 @@ func waitFor(t *testing.T, cond func() bool) {
 			t.Fatal("condition not reached")
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// settledGoroutines returns the goroutine count once it has held still for
+// ten milliseconds: an earlier scheduler's workers finish exiting after its
+// Close returns.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for stable, polls := 0, 0; stable < 10 && polls < 1000; polls++ {
+		time.Sleep(time.Millisecond)
+		if m := runtime.NumGoroutine(); m != n {
+			n, stable = m, 0
+		} else {
+			stable++
+		}
+	}
+	return n
+}
+
+// TestMaintenanceIsOneGoroutine: patrol, controller and snapshots share one
+// maintenance goroutine; Manual starts none, and neither does a pool with
+// no maintenance duty. A scheduler costs its workers plus at most one.
+func TestMaintenanceIsOneGoroutine(t *testing.T) {
+	eng := quietEngine(t)
+	const workers = 2
+	duties := func(manual bool) Config {
+		return Config{
+			Workers: workers, Manual: manual, Recovery: recoveryConfig(1),
+			Scrub:      ScrubConfig{Enabled: true, Interval: time.Hour},
+			Controller: ControllerConfig{Enabled: true, Interval: time.Hour},
+			Persist:    PersistConfig{Dir: t.TempDir()},
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want int
+	}{
+		{"background", duties(false), workers + 1},
+		{"manual", duties(true), workers},
+		{"none", Config{Workers: workers}, workers},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := settledGoroutines()
+			s, err := NewScheduler(eng, tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := runtime.NumGoroutine() - before
+			if _, err := s.Close(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			if got != tc.want {
+				t.Fatalf("NewScheduler started %d goroutines, want %d", got, tc.want)
+			}
+		})
 	}
 }

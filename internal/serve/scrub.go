@@ -6,40 +6,26 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/accel"
 	"repro/internal/persist"
 	"repro/internal/replica"
 	"repro/internal/scrub"
 )
 
-// ScrubConfig wires the patrol scrubber into the pool: a background
-// goroutine that, during idle scheduler slots, walks one mapped layer per
-// tick in deterministic rotation, heals drifted cells through the verify
-// write path, and spares uncorrectable rows — so errors are removed before
-// they can trip the reactive ladder's breakers.
+// ScrubConfig wires the patrol scrubber into the pool: a maintenance duty
+// that walks one mapped layer of one copy per tick in deterministic
+// rotation, heals drifted cells through the verify write path, and spares
+// uncorrectable rows — so errors are removed before they can trip the
+// reactive ladder's breakers. Repair programming runs with each copy's own
+// engine VerifyIters and Seed.
 type ScrubConfig struct {
 	// Enabled starts the patroller. Off by default: with it off, the
 	// engine's arrays are never touched outside requests and predictions
 	// stay a pure function of (engine, seed).
 	Enabled bool
-	// Interval is the pause between patrol attempts (0 = 1s). A tick with
-	// requests queued or in flight is skipped — patrol only steals idle
-	// slots.
+	// Interval is the pause between patrol attempts (0 = 1s). /readyz flags
+	// the scrub as stale once a layer goes 100 intervals unpatrolled.
 	Interval time.Duration
-	// MaxStaleness is the patrol-cycle age past which /readyz flags the
-	// scrub as stale (0 = 100x Interval). Staleness is informational: a
-	// busy pool that never idles simply isn't scrubbing, and the reactive
-	// ladder is still armed.
-	MaxStaleness time.Duration
-	// VerifyIters bounds closed-loop re-programming per repaired cell
-	// (0 = the engine's configured VerifyIters, falling back to 5).
-	VerifyIters int
-	// Seed drives the verify-comparator draws of repair programming
-	// (0 = the engine seed).
-	Seed uint64
-	// Manual builds the patroller without its background loop: passes run
-	// only when the owner calls Scheduler.PatrolNow. Deterministic sweeps
-	// and drills use this to put scrubbing on the request-step clock.
-	Manual bool
 }
 
 // withDefaults resolves the zero values.
@@ -47,21 +33,13 @@ func (c ScrubConfig) withDefaults() ScrubConfig {
 	if c.Interval <= 0 {
 		c.Interval = time.Second
 	}
-	if c.MaxStaleness <= 0 {
-		c.MaxStaleness = 100 * c.Interval
-	}
 	return c
 }
 
 // Validate rejects nonsensical parameters.
 func (c ScrubConfig) Validate() error {
-	switch {
-	case c.Interval < 0:
+	if c.Interval < 0 {
 		return fmt.Errorf("serve: negative scrub interval %v", c.Interval)
-	case c.MaxStaleness < 0:
-		return fmt.Errorf("serve: negative scrub staleness bound %v", c.MaxStaleness)
-	case c.VerifyIters < 0 || c.VerifyIters > 64:
-		return fmt.Errorf("serve: scrub verify iterations %d out of range [0,64]", c.VerifyIters)
 	}
 	return nil
 }
@@ -76,17 +54,17 @@ type ScrubStatus struct {
 	LayerAge map[int]time.Duration
 	// OldestAge is the maximum of LayerAge — the patrol-cycle age.
 	OldestAge time.Duration
-	// Stale reports OldestAge exceeding the configured bound.
+	// Stale reports OldestAge exceeding 100 configured patrol intervals.
 	Stale bool
 }
 
 // patroller drives one scrub.Scrubber per programmed copy — per (shard,
-// replica) pair — from a single background goroutine. Scrubbers are not
-// concurrency-safe; all patrol calls happen here, and array access is
-// serialized against live traffic and remaps by each engine's per-layer
-// write lock. Where a copy has siblings the patroller detaches it for the
-// tick, scrubs it while its siblings absorb the traffic, and rejoins it —
-// so patrol no longer has to wait for idle slots.
+// replica) pair. Scrubbers are not concurrency-safe; all patrol calls come
+// from the maintenance loop or PatrolNow, and array access is serialized
+// against live traffic and remaps by each engine's per-layer write lock.
+// Where a copy has siblings the patroller detaches it for the tick, scrubs
+// it while its siblings absorb the traffic, and rejoins it — so patrol does
+// not have to wait for idle slots.
 type patroller struct {
 	sched *Scheduler
 	scs   []*scrub.Scrubber // one per programmed copy, in (shard, replica) order
@@ -104,19 +82,12 @@ type patroller struct {
 	// the live one, adjustable by the protection controller between ticks.
 	baseInterval time.Duration
 	curInterval  atomic.Int64
-	maxStale     time.Duration
-	manual       bool
 	cursor       int // copy rotation position
 
-	// scMu owns the scrubbers and the rotation cursor: the background loop
-	// (or PatrolNow) holds it across a pass, and the snapshotter holds it
-	// while capturing scrubber state — scrubbers themselves are not
-	// concurrency-safe.
+	// scMu owns the scrubbers and the rotation cursor: a patrol pass holds
+	// it, and the snapshotter holds it while capturing scrubber state —
+	// scrubbers themselves are not concurrency-safe.
 	scMu sync.Mutex
-
-	stop     chan struct{}
-	stopOnce sync.Once
-	done     chan struct{}
 
 	mu       sync.Mutex
 	totals   scrub.Totals
@@ -124,18 +95,13 @@ type patroller struct {
 	started  time.Time
 }
 
-// newPatroller builds the patroller without starting its loop, so boot-time
-// state restoration can position the scrubbers before the first pass; the
-// scheduler calls start once the pool is assembled.
+// newPatroller builds the patroller; boot-time state restoration positions
+// the scrubbers before the maintenance loop's first pass.
 func newPatroller(sched *Scheduler, cfg ScrubConfig) *patroller {
 	cfg = cfg.withDefaults()
 	p := &patroller{
 		sched:        sched,
 		baseInterval: cfg.Interval,
-		maxStale:     cfg.MaxStaleness,
-		manual:       cfg.Manual,
-		stop:         make(chan struct{}),
-		done:         make(chan struct{}),
 		lastPass:     make(map[int]time.Time),
 		started:      time.Now(),
 	}
@@ -144,16 +110,7 @@ func newPatroller(sched *Scheduler, cfg ScrubConfig) *patroller {
 	// rotation patrols every copy of every shard.
 	for _, set := range sched.ReplicaSets() {
 		for r := 0; r < set.Size(); r++ {
-			eng := set.Engine(r)
-			iters := cfg.VerifyIters
-			if iters <= 0 {
-				iters = eng.Config().VerifyIters
-			}
-			seed := cfg.Seed
-			if seed == 0 {
-				seed = eng.Config().Seed
-			}
-			p.scs = append(p.scs, scrub.New(eng, scrub.Config{VerifyIters: iters, Seed: seed}))
+			p.scs = append(p.scs, scrub.New(set.Engine(r), engineScrub(set.Engine(r))))
 			p.sets = append(p.sets, set)
 			p.reps = append(p.reps, r)
 			p.detachable = p.detachable || set.Size() > 1
@@ -163,14 +120,10 @@ func newPatroller(sched *Scheduler, cfg ScrubConfig) *patroller {
 	return p
 }
 
-// start launches the patrol loop (or, in manual mode, marks it finished so
-// halt does not wait for one).
-func (p *patroller) start() {
-	if p.manual {
-		close(p.done) // no loop to wait for in halt
-		return
-	}
-	go p.run()
+// engineScrub is the repair-programming configuration of one copy: its
+// engine's own verify bound and seed.
+func engineScrub(eng *accel.Engine) scrub.Config {
+	return scrub.Config{VerifyIters: eng.Config().VerifyIters, Seed: eng.Config().Seed}
 }
 
 // interval returns the live patrol cadence.
@@ -178,39 +131,13 @@ func (p *patroller) interval() time.Duration {
 	return time.Duration(p.curInterval.Load())
 }
 
-// setInterval adjusts the live patrol cadence; the loop picks the new value
-// up when its current wait fires. Non-positive values are ignored.
+// setInterval adjusts the live patrol cadence; the maintenance loop picks
+// the new value up when its current wait fires. Non-positive values are
+// ignored.
 func (p *patroller) setInterval(d time.Duration) {
 	if d > 0 {
 		p.curInterval.Store(int64(d))
 	}
-}
-
-// run is the patrol loop: tick, patrol one layer of one copy. Without a
-// detachable copy the pool must be idle (patrol steals only idle slots);
-// otherwise the patrolled copy is detached from its shard's replica set, so
-// traffic never waits on it.
-func (p *patroller) run() {
-	defer close(p.done)
-	timer := time.NewTimer(p.interval())
-	defer timer.Stop()
-	for {
-		select {
-		case <-p.stop:
-			return
-		case <-timer.C:
-			if p.detachable || p.idle() {
-				p.patrolOnce()
-			}
-			timer.Reset(p.interval())
-		}
-	}
-}
-
-// idle reports whether the pool has no queued or in-flight work — the only
-// slots single-copy patrol is allowed to steal.
-func (p *patroller) idle() bool {
-	return p.sched.inflight.Load() == 0 && p.sched.QueueLen() == 0
 }
 
 // patrolOnce runs one layer's patrol pass on the next copy in rotation and
@@ -269,14 +196,8 @@ func (p *patroller) status() ScrubStatus {
 			st.OldestAge = age
 		}
 	}
-	st.Stale = st.OldestAge > p.maxStale
+	st.Stale = st.OldestAge > 100*p.baseInterval
 	return st
-}
-
-// halt stops the patrol loop and waits for it to exit. Idempotent.
-func (p *patroller) halt() {
-	p.stopOnce.Do(func() { close(p.stop) })
-	<-p.done
 }
 
 // stateSnapshot captures the patroller's durable state: the replica rotation
@@ -346,15 +267,14 @@ func (s *Scheduler) ScrubInterval() time.Duration {
 	return s.pat.interval()
 }
 
-// PatrolNow runs one synchronous patrol pass. Only manual-mode patrollers
-// allow it: scrubbers are not concurrency-safe, so a running background
-// loop owns them exclusively.
+// PatrolNow runs one synchronous patrol pass. Only a Manual scheduler
+// allows it: otherwise the maintenance loop owns the patrol cadence.
 func (s *Scheduler) PatrolNow() error {
 	if s.pat == nil {
 		return fmt.Errorf("serve: scrubbing is disabled")
 	}
-	if !s.pat.manual {
-		return fmt.Errorf("serve: patroller runs in the background; PatrolNow needs ScrubConfig.Manual")
+	if !s.cfg.Manual {
+		return fmt.Errorf("serve: maintenance runs in the background; PatrolNow needs Config.Manual")
 	}
 	s.pat.patrolOnce()
 	return nil

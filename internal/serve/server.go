@@ -344,7 +344,7 @@ type readyzResponse struct {
 	// least-recently patrolled layer's last pass (omitted when scrubbing is
 	// disabled).
 	ScrubOldestAgeSec float64 `json:"scrub_oldest_age_sec,omitempty"`
-	// ScrubStale flags a patrol-cycle age past the configured bound —
+	// ScrubStale flags a patrol-cycle age past 100 patrol intervals —
 	// informational: the instance still serves (the reactive ladder is
 	// armed), but operators see the proactive loop has fallen behind.
 	ScrubStale bool `json:"scrub_stale,omitempty"`

@@ -256,13 +256,18 @@ func TestReadyzWedgedQueue(t *testing.T) {
 		t.Fatal(err)
 	}
 	codes := make(chan int, depth+1)
-	for i := 0; i <= depth; i++ {
-		go func(seed uint64) {
-			rec := postPredict(t, srv, fmt.Sprintf(`{"image": %s}`, imageJSON(seed)))
-			codes <- rec.Code
-		}(uint64(i + 1))
+	post := func(seed uint64) {
+		rec := postPredict(t, srv, fmt.Sprintf(`{"image": %s}`, imageJSON(seed)))
+		codes <- rec.Code
 	}
+	// Hold the first request in the worker before the rest arrive: posted
+	// together, all three can reach the queue before the first dequeue, and
+	// the third is refused 429 instead of wedging the queue.
+	go post(1)
 	<-entered
+	for i := 1; i <= depth; i++ {
+		go post(uint64(i + 1))
+	}
 	waitFor(t, func() bool { return srv.Scheduler().QueueLen() == depth })
 
 	rec := httptest.NewRecorder()

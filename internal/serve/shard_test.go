@@ -331,7 +331,8 @@ func TestShardSnapshotTopologyRefused(t *testing.T) {
 		cfg := shardTestConfig(shards)
 		cfg.Workers = 1
 		if stateDir != "" {
-			cfg.Persist = PersistConfig{Dir: stateDir, Manual: true}
+			cfg.Manual = true
+			cfg.Persist = PersistConfig{Dir: stateDir}
 		}
 		s, err := NewScheduler(eng, cfg)
 		if err != nil {
@@ -374,7 +375,8 @@ func TestShardSnapshotTopologyRefused(t *testing.T) {
 	eng, _ := shardTestEngine(t)
 	cfg := shardTestConfig(0)
 	cfg.Workers = 1
-	cfg.Persist = PersistConfig{Dir: dir, Manual: true}
+	cfg.Manual = true
+	cfg.Persist = PersistConfig{Dir: dir}
 	runC, err := NewScheduler(eng, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -395,7 +397,8 @@ func TestShardRestartRestoresDrainState(t *testing.T) {
 		eng, _ := shardTestEngine(t)
 		cfg := shardTestConfig(2)
 		cfg.Workers = 1
-		cfg.Persist = PersistConfig{Dir: dir, Manual: true}
+		cfg.Manual = true
+		cfg.Persist = PersistConfig{Dir: dir}
 		s, err := NewScheduler(eng, cfg)
 		if err != nil {
 			t.Fatal(err)
