@@ -338,7 +338,7 @@ func run(args []string) error {
 		// excursions never compound across steps and the sequence replays
 		// exactly.
 		base := acfg.Device
-		go driveServedClock(ctx, srv.Scheduler(), *scenarioEvery, 0, tl.Steps()-1, func(step int) bool {
+		go driveServedClock(ctx, srv.Scheduler().Served, *scenarioEvery, 0, tl.Steps()-1, func(step int) bool {
 			env := tl.At(step)
 			if err := srv.Scheduler().ApplyEnv(env.Apply(base)); err != nil {
 				fmt.Fprintf(os.Stderr, "scenario: %v\n", err)
@@ -375,7 +375,7 @@ func run(args []string) error {
 		fmt.Fprintf(os.Stderr, "fault campaign armed: %d steps, one step per %d served requests (%d remaining)\n",
 			*faultSteps, *faultEvery, runner.Remaining())
 		if runner.Remaining() > 0 {
-			go driveServedClock(ctx, srv.Scheduler(), *faultEvery, 1, *faultSteps, func(step int) bool {
+			go driveServedClock(ctx, srv.Scheduler().Served, *faultEvery, 1, *faultSteps, func(step int) bool {
 				events, err := runner.Advance(step)
 				if err != nil {
 					fmt.Fprintf(os.Stderr, "fault campaign: %v\n", err)
@@ -434,11 +434,12 @@ func run(args []string) error {
 }
 
 // driveServedClock advances a step schedule on the served-request clock:
-// every 50 ms it reads Served(), and once that has crossed k*every for steps
-// above the last one applied it calls apply with the highest such k, capped
-// at last (first is the lowest step it applies). It returns when ctx ends,
-// when apply returns false, or after step last.
-func driveServedClock(ctx context.Context, sched *serve.Scheduler, every uint64, first, last int, apply func(step int) bool) {
+// every 50 ms it reads served() and calls apply, in order, for every step
+// from the next unapplied one up to served()/every, capped at last (first is
+// the lowest step it applies). A poll that crosses several steps applies
+// each of them, so no environment excursion or campaign step is skipped. It
+// returns when ctx ends, when apply returns false, or after step last.
+func driveServedClock(ctx context.Context, served func() uint64, every uint64, first, last int, apply func(step int) bool) {
 	tick := time.NewTicker(50 * time.Millisecond)
 	defer tick.Stop()
 	for next := first; next <= last; {
@@ -447,13 +448,10 @@ func driveServedClock(ctx context.Context, sched *serve.Scheduler, every uint64,
 			return
 		case <-tick.C:
 		}
-		step := min(int(sched.Served()/every), last)
-		if step < next {
-			continue
+		for reached := min(int(served()/every), last); next <= reached; next++ {
+			if !apply(next) {
+				return
+			}
 		}
-		if !apply(step) {
-			return
-		}
-		next = step + 1
 	}
 }

@@ -44,11 +44,15 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
 	"time"
 
@@ -70,42 +74,72 @@ func main() {
 	}
 }
 
+// flags is every mnnsim knob, parsed in place — the sweep options and the
+// wear-out campaign straight into their expt and fault configs — plus what
+// run resolves from them once: the replica list, and the digit workloads
+// every subcommand shares (loaded on first use).
+type flags struct {
+	opt  expt.SweepOptions
+	life fault.LifetimeParams
+
+	device, bits, out, stateDir string
+	quiet                       bool
+
+	spareRows, verifyIters, scrubSteps int
+	scrubSlack                         float64
+	replicas                           string
+	voteThreshold                      int
+
+	planWorkload, planScheme       string
+	planBits                       int
+	planStuck, planMiss, planAvail float64
+
+	scenarios, scenarioScheme string
+	scenarioSteps             int
+	scenarioStuck             float64
+	batchSize                 int
+
+	replicaList []int
+	digits      []expt.Workload
+}
+
 func run(args []string) error {
+	f := flags{opt: expt.DefaultSweepOptions()}
 	fs := flag.NewFlagSet("mnnsim", flag.ContinueOnError)
-	images := fs.Int("images", 300, "test images per Monte-Carlo cell")
-	trainN := fs.Int("train", 4000, "training examples per dataset")
-	epochs := fs.Int("epochs", 5, "training epochs")
-	seed := fs.Uint64("seed", 1, "experiment seed")
-	deviceName := fs.String("device", noise.DefaultDeviceName,
+	fs.IntVar(&f.opt.Images, "images", 300, "test images per Monte-Carlo cell")
+	fs.IntVar(&f.opt.Train.Train, "train", 4000, "training examples per dataset")
+	fs.IntVar(&f.opt.Train.Epochs, "epochs", 5, "training epochs")
+	fs.Uint64Var(&f.opt.Seed, "seed", 1, "experiment seed")
+	fs.StringVar(&f.device, "device", noise.DefaultDeviceName,
 		"named device profile for the lifetime/scenario/plan studies (list with: mnnsim devices)")
-	workers := fs.Int("workers", 0, "Monte-Carlo worker goroutines per cell (0 = GOMAXPROCS)")
-	bits := fs.String("bits", "1,2,3,4,5", "comma-separated bits-per-cell sweep")
-	outDir := fs.String("out", "", "directory for CSV outputs (optional)")
-	cache := fs.String("cache", "testdata/weights", "trained-weight cache directory")
-	quiet := fs.Bool("q", false, "suppress progress lines")
-	faultSteps := fs.Int("fault-steps", 4, "faults: lifetime steps in the wear-out campaign")
-	faultStuck := fs.Float64("fault-stuck", 0.001, "faults: new stuck-cell probability per cell per step")
-	faultLRS := fs.Float64("fault-lrs", 0.7, "faults: fraction of stuck faults pinned at LRS")
-	faultDriftEvery := fs.Int("fault-drift-every", 2, "faults: drift wave every N steps (0 disables)")
-	faultDriftRate := fs.Float64("fault-drift-rate", 0.002, "faults: per-cell drift probability per wave")
-	stateDir := fs.String("state-dir", "", "faults: checkpoint aged arrays + campaign cursor per step and resume interrupted campaigns from there (empty disables)")
-	spareRows := fs.Int("spare-rows", 8, "scrub: spare lines per array available for sparing")
-	verifyIters := fs.Int("verify-iters", 5, "scrub: max write-verify pulses per programmed cell")
-	scrubSteps := fs.Int("scrub-steps", 6, "scrub: lifetime steps in the scrub-on/off comparison")
-	scrubSlack := fs.Float64("scrub-slack", 0.05, "scrub: allowed miss-rate excess over the software baseline")
-	replicaList := fs.String("replicas", "1,2,3", "replicas: comma-separated R values to sweep")
-	voteThreshold := fs.Int("vote-threshold", 3, "replicas: consecutive flagged reads before majority voting (0 disables)")
-	planWorkload := fs.String("plan-workload", "MLP1", "plan: network to plan protection for (MLP1|MLP2|CNN1)")
-	planScheme := fs.String("plan-scheme", "ABN-9", "plan: currently deployed scheme anchoring the search")
-	planBits := fs.Int("plan-bits", 2, "plan: bits per cell")
-	planStuck := fs.Float64("plan-stuck", 0.001, "plan: stuck-cell failure rate")
-	planMiss := fs.Float64("plan-miss", 0.05, "plan: misclassification-rate SLO ceiling")
-	planAvail := fs.Float64("plan-availability", 0.999, "plan: availability SLO floor (0 disables the replication search)")
-	scenarioList := fs.String("scenarios", "", fmt.Sprintf("scenarios: comma-separated timeline names (empty = all: %v)", scenario.Names()))
-	scenarioSteps := fs.Int("scenario-steps", 6, "scenarios: lifetime steps per matrix cell")
-	scenarioScheme := fs.String("scenario-scheme", "ABN-9", "scenarios: protection scheme for the matrix")
-	scenarioStuck := fs.Float64("scenario-stuck", 5e-7, "scenarios: per-cell stuck arrival probability per step that the wear windows multiply (breaker-armed serving needs far gentler wear than -fault-stuck)")
-	batchSize := fs.Int("batch-size", 16, "batch: images per multi-image forward pass")
+	fs.IntVar(&f.opt.Workers, "workers", 0, "Monte-Carlo worker goroutines per cell (0 = GOMAXPROCS)")
+	fs.StringVar(&f.bits, "bits", "1,2,3,4,5", "comma-separated bits-per-cell sweep")
+	fs.StringVar(&f.out, "out", "", "directory for CSV outputs (optional)")
+	fs.StringVar(&f.opt.Train.CacheDir, "cache", "testdata/weights", "trained-weight cache directory")
+	fs.BoolVar(&f.quiet, "q", false, "suppress progress lines")
+	fs.IntVar(&f.life.Steps, "fault-steps", 4, "faults: lifetime steps in the wear-out campaign")
+	fs.Float64Var(&f.life.StuckPerStep, "fault-stuck", 0.001, "faults: new stuck-cell probability per cell per step")
+	fs.Float64Var(&f.life.LRSFrac, "fault-lrs", 0.7, "faults: fraction of stuck faults pinned at LRS")
+	fs.IntVar(&f.life.DriftEvery, "fault-drift-every", 2, "faults: drift wave every N steps (0 disables)")
+	fs.Float64Var(&f.life.DriftRate, "fault-drift-rate", 0.002, "faults: per-cell drift probability per wave")
+	fs.StringVar(&f.stateDir, "state-dir", "", "faults: checkpoint aged arrays + campaign cursor per step and resume interrupted campaigns from there (empty disables)")
+	fs.IntVar(&f.spareRows, "spare-rows", 8, "scrub: spare lines per array available for sparing")
+	fs.IntVar(&f.verifyIters, "verify-iters", 5, "scrub: max write-verify pulses per programmed cell")
+	fs.IntVar(&f.scrubSteps, "scrub-steps", 6, "scrub: lifetime steps in the scrub-on/off comparison")
+	fs.Float64Var(&f.scrubSlack, "scrub-slack", 0.05, "scrub: allowed miss-rate excess over the software baseline")
+	fs.StringVar(&f.replicas, "replicas", "1,2,3", "replicas: comma-separated R values to sweep")
+	fs.IntVar(&f.voteThreshold, "vote-threshold", 3, "replicas: consecutive flagged reads before majority voting (0 disables)")
+	fs.StringVar(&f.planWorkload, "plan-workload", "MLP1", "plan: network to plan protection for (MLP1|MLP2|CNN1)")
+	fs.StringVar(&f.planScheme, "plan-scheme", "ABN-9", "plan: currently deployed scheme anchoring the search")
+	fs.IntVar(&f.planBits, "plan-bits", 2, "plan: bits per cell")
+	fs.Float64Var(&f.planStuck, "plan-stuck", 0.001, "plan: stuck-cell failure rate")
+	fs.Float64Var(&f.planMiss, "plan-miss", 0.05, "plan: misclassification-rate SLO ceiling")
+	fs.Float64Var(&f.planAvail, "plan-availability", 0.999, "plan: availability SLO floor (0 disables the replication search)")
+	fs.StringVar(&f.scenarios, "scenarios", "", fmt.Sprintf("scenarios: comma-separated timeline names (empty = all: %v)", scenario.Names()))
+	fs.IntVar(&f.scenarioSteps, "scenario-steps", 6, "scenarios: lifetime steps per matrix cell")
+	fs.StringVar(&f.scenarioScheme, "scenario-scheme", "ABN-9", "scenarios: protection scheme for the matrix")
+	fs.Float64Var(&f.scenarioStuck, "scenario-stuck", 5e-7, "scenarios: per-cell stuck arrival probability per step that the wear windows multiply (breaker-armed serving needs far gentler wear than -fault-stuck)")
+	fs.IntVar(&f.batchSize, "batch-size", 16, "batch: images per multi-image forward pass")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -114,139 +148,57 @@ func run(args []string) error {
 		return fmt.Errorf("missing subcommand (fig7|fig10|fig11|fig12|table3|table4|sec4|ablate|budget|plan|batch|faults|scrub|replicas|devices|scenarios|all)")
 	}
 
-	dev, err := noise.Device(*deviceName)
+	dev, err := noise.Device(f.device)
 	if err != nil {
 		return err
 	}
-
-	opt := expt.DefaultSweepOptions()
-	opt.Device = dev
-	opt.Images = *images
-	opt.Seed = *seed
-	opt.Workers = *workers
-	opt.Train.Seed = *seed + 41
-	opt.Train.Train = *trainN
-	opt.Train.Epochs = *epochs
-	opt.Train.CacheDir = *cache
-	opt.Train.Log = os.Stderr
-	if !*quiet {
-		opt.Progress = expt.Progress{W: os.Stderr}
+	f.opt.Device = dev
+	f.opt.Train.Seed = f.opt.Seed + 41
+	f.opt.Train.Log = os.Stderr
+	if !f.quiet {
+		f.opt.Progress = expt.Progress{W: os.Stderr}
 	}
-	var bitList []int
-	for _, tok := range splitCSV(*bits) {
-		var b int
-		if _, err := fmt.Sscanf(tok, "%d", &b); err != nil {
-			return fmt.Errorf("bad -bits entry %q", tok)
-		}
-		bitList = append(bitList, b)
+	if f.opt.Bits, err = ints("bits", f.bits); err != nil {
+		return err
 	}
-	opt.Bits = bitList
-
-	life := fault.LifetimeParams{
-		Steps:        *faultSteps,
-		StuckPerStep: *faultStuck,
-		LRSFrac:      *faultLRS,
-		DriftEvery:   *faultDriftEvery,
-		DriftRate:    *faultDriftRate,
+	if f.replicaList, err = ints("replicas", f.replicas); err != nil {
+		return err
 	}
-
-	scrubOpt := scrubOptions{
-		SpareRows:   *spareRows,
-		VerifyIters: *verifyIters,
-		Steps:       *scrubSteps,
-		BandSlack:   *scrubSlack,
-	}
-
-	var repList []int
-	for _, tok := range splitCSV(*replicaList) {
-		var r int
-		if _, err := fmt.Sscanf(tok, "%d", &r); err != nil {
-			return fmt.Errorf("bad -replicas entry %q", tok)
-		}
-		repList = append(repList, r)
-	}
-	repOpt := replicaOptions{
-		Replicas:      repList,
-		VoteThreshold: *voteThreshold,
-		SpareRows:     *spareRows,
-	}
-
-	planOpt := planOptions{
-		Workload: *planWorkload,
-		Scheme:   *planScheme,
-		Bits:     *planBits,
-		Stuck:    *planStuck,
-		MaxMiss:  *planMiss,
-		MinAvail: *planAvail,
-		Device:   *deviceName,
-	}
-
-	scenOpt := scenarioOptions{
-		Device:    *deviceName,
-		Scenarios: splitCSV(*scenarioList),
-		Steps:     *scenarioSteps,
-		Scheme:    *scenarioScheme,
-		Stuck:     *scenarioStuck,
-		LRSFrac:   *faultLRS,
-	}
-
-	batchOpt := batchOptions{Size: *batchSize, Device: *deviceName}
 
 	cmds := fs.Args()
 	if len(cmds) == 1 && cmds[0] == "all" {
 		cmds = []string{"fig7", "sec4", "table4", "fig10", "fig11", "fig12", "table3", "ablate"}
 	}
 	for _, cmd := range cmds {
-		if err := dispatch(cmd, opt, *outDir, *stateDir, life, scrubOpt, repOpt, planOpt, scenOpt, batchOpt); err != nil {
+		if err := dispatch(cmd, &f); err != nil {
 			return fmt.Errorf("%s: %w", cmd, err)
 		}
 	}
 	return nil
 }
 
-// scenarioOptions carries the scenarios-subcommand knobs through dispatch.
-type scenarioOptions struct {
-	Device    string
-	Scenarios []string
-	Steps     int
-	Scheme    string
-	Stuck     float64
-	LRSFrac   float64
+// workloads returns the digit workloads, trained or loaded at most once
+// per invocation.
+func (f *flags) workloads() ([]expt.Workload, error) {
+	if f.digits == nil {
+		ws, err := expt.DigitWorkloads(f.opt.Train)
+		if err != nil {
+			return nil, err
+		}
+		f.digits = ws
+	}
+	return f.digits, nil
 }
 
-// planOptions carries the plan-subcommand knobs through dispatch.
-type planOptions struct {
-	Workload string
-	Scheme   string
-	Bits     int
-	Stuck    float64
-	MaxMiss  float64
-	MinAvail float64
-	Device   string
+// dev is the selected device profile at the given cell precision.
+func (f *flags) dev(bits int) noise.DeviceParams {
+	d := f.opt.Device
+	d.BitsPerCell = bits
+	return d
 }
 
-// batchOptions carries the batch-subcommand knobs through dispatch.
-type batchOptions struct {
-	Size   int
-	Device string
-}
-
-// scrubOptions carries the scrub-subcommand knobs through dispatch.
-type scrubOptions struct {
-	SpareRows   int
-	VerifyIters int
-	Steps       int
-	BandSlack   float64
-}
-
-// replicaOptions carries the replicas-subcommand knobs through dispatch.
-type replicaOptions struct {
-	Replicas      []int
-	VoteThreshold int
-	SpareRows     int
-}
-
-func dispatch(cmd string, opt expt.SweepOptions, outDir, stateDirOpt string, life fault.LifetimeParams, scrubOpt scrubOptions, repOpt replicaOptions, planOpt planOptions, scenOpt scenarioOptions, batchOpt batchOptions) error {
+func dispatch(cmd string, f *flags) error {
+	opt := f.opt
 	switch cmd {
 	case "devices":
 		fmt.Printf("\nNamed device library (-device NAME)\n")
@@ -264,11 +216,11 @@ func dispatch(cmd string, opt expt.SweepOptions, outDir, stateDirOpt string, lif
 		fmt.Printf("(* = default, the paper's Table I cell)\n")
 		return nil
 	case "scenarios":
-		sch, err := accel.ParseScheme(scenOpt.Scheme)
+		sch, err := accel.ParseScheme(f.scenarioScheme)
 		if err != nil {
 			return err
 		}
-		workloads, err := expt.DigitWorkloads(opt.Train)
+		workloads, err := f.workloads()
 		if err != nil {
 			return err
 		}
@@ -281,36 +233,29 @@ func dispatch(cmd string, opt expt.SweepOptions, outDir, stateDirOpt string, lif
 		// Drift stays off: wave rates big enough to move accuracy flag
 		// effectively every group and trip every breaker instantly.
 		cfg := expt.ScenarioSweepConfig{
+			// The matrix always spans the default three-device contrast;
+			// an explicitly chosen fourth profile joins it.
+			Devices:   []string{noise.DefaultDeviceName, "high-rtn", "pcm-drift"},
 			Scheme:    sch,
-			Scenarios: scenOpt.Scenarios,
-			Retries:   opt.Retries,
+			Scenarios: splitCSV(f.scenarios),
 			Images:    opt.Images,
 			Seed:      opt.Seed,
-			Steps:     scenOpt.Steps,
+			Steps:     f.scenarioSteps,
 			Lifetime: fault.LifetimeParams{
-				StuckPerStep: scenOpt.Stuck,
-				LRSFrac:      scenOpt.LRSFrac,
+				StuckPerStep: f.scenarioStuck,
+				LRSFrac:      f.life.LRSFrac,
 			},
 		}
-		// The matrix always spans the default three-device contrast; an
-		// explicitly chosen fourth profile joins it.
-		cfg.Devices = []string{noise.DefaultDeviceName, "high-rtn", "pcm-drift"}
-		extra := true
-		for _, d := range cfg.Devices {
-			if d == scenOpt.Device {
-				extra = false
-			}
-		}
-		if extra {
-			cfg.Devices = append(cfg.Devices, scenOpt.Device)
+		if !slices.Contains(cfg.Devices, f.device) {
+			cfg.Devices = append(cfg.Devices, f.device)
 		}
 		points, err := expt.RunScenarioSweep(workloads[0], cfg, opt.Progress)
 		if err != nil {
 			return err
 		}
 		expt.RenderScenarios(os.Stdout, points)
-		return writeCSV(outDir, "scenarios.csv", func(f *os.File) error {
-			return expt.WriteScenariosCSV(f, points)
+		return f.writeCSV("scenarios.csv", func(w io.Writer) error {
+			return expt.WriteScenariosCSV(w, points)
 		})
 	case "fig7":
 		res, err := expt.RunFig7(circuit.DefaultConfig())
@@ -318,8 +263,8 @@ func dispatch(cmd string, opt expt.SweepOptions, outDir, stateDirOpt string, lif
 			return err
 		}
 		expt.RenderFig7(os.Stdout, res)
-		return writeCSV(outDir, "fig7.csv", func(f *os.File) error {
-			return expt.WriteFig7CSV(f, res)
+		return f.writeCSV("fig7.csv", func(w io.Writer) error {
+			return expt.WriteFig7CSV(w, res)
 		})
 	case "sec4":
 		cfg := circuit.DefaultConfig()
@@ -332,26 +277,29 @@ func dispatch(cmd string, opt expt.SweepOptions, outDir, stateDirOpt string, lif
 		fmt.Printf("total %.2f%%  high %.2f%%  low %.2f%%  (paper: 14.5%%, 13.9%%, 0.51%%)\n",
 			100*res.TotalRate, 100*res.HighRate, 100*res.LowRate)
 		return nil
-	case "fig10":
-		cells, err := expt.RunFig10(opt)
+	case "fig10", "fig11":
+		workloads, err := f.workloads()
+		if err != nil {
+			return err
+		}
+		sweep := expt.RunFig10
+		if cmd == "fig11" {
+			sweep = expt.RunFig11
+		}
+		cells, err := sweep(workloads, opt)
 		if err != nil {
 			return err
 		}
 		expt.RenderSweep(os.Stdout, cells)
-		return writeCSV(outDir, "fig10.csv", func(f *os.File) error {
-			return expt.WriteSweepCSV(f, cells)
-		})
-	case "fig11":
-		cells, err := expt.RunFig11(opt)
-		if err != nil {
-			return err
-		}
-		expt.RenderSweep(os.Stdout, cells)
-		return writeCSV(outDir, "fig11.csv", func(f *os.File) error {
-			return expt.WriteSweepCSV(f, cells)
+		return f.writeCSV(cmd+".csv", func(w io.Writer) error {
+			return expt.WriteSweepCSV(w, cells)
 		})
 	case "fig12":
-		pts, err := expt.RunFig12(opt)
+		workloads, err := f.workloads()
+		if err != nil {
+			return err
+		}
+		pts, err := expt.RunFig12(workloads, opt)
 		if err != nil {
 			return err
 		}
@@ -368,7 +316,7 @@ func dispatch(cmd string, opt expt.SweepOptions, outDir, stateDirOpt string, lif
 		expt.RenderTable4(os.Stdout, expt.RunTable4())
 		return nil
 	case "budget":
-		workloads, err := expt.DigitWorkloads(opt.Train)
+		workloads, err := f.workloads()
 		if err != nil {
 			return err
 		}
@@ -396,29 +344,28 @@ func dispatch(cmd string, opt expt.SweepOptions, outDir, stateDirOpt string, lif
 			hwmodel.SystemLifetimeYears(1e6, 1.0/7))
 		return nil
 	case "plan":
-		workloads, err := expt.DigitWorkloads(opt.Train)
+		workloads, err := f.workloads()
 		if err != nil {
 			return err
 		}
 		var w *expt.Workload
 		for i := range workloads {
-			if strings.EqualFold(workloads[i].Name, planOpt.Workload) {
+			if strings.EqualFold(workloads[i].Name, f.planWorkload) {
 				w = &workloads[i]
 				break
 			}
 		}
 		if w == nil {
-			return fmt.Errorf("plan: unknown workload %q", planOpt.Workload)
+			return fmt.Errorf("plan: unknown workload %q", f.planWorkload)
 		}
-		sch, err := accel.ParseScheme(planOpt.Scheme)
+		sch, err := accel.ParseScheme(f.planScheme)
 		if err != nil {
 			return err
 		}
 		acfg := accel.DefaultConfig(sch)
-		acfg.Device = opt.Device
-		acfg.DeviceName = planOpt.Device
-		acfg.Device.BitsPerCell = planOpt.Bits
-		acfg.Device.FailureRate = planOpt.Stuck
+		acfg.Device = f.dev(f.planBits)
+		acfg.Device.FailureRate = f.planStuck
+		acfg.DeviceName = f.device
 		acfg.Seed = opt.Seed
 		test := w.Test
 		if opt.Images > 0 && opt.Images < len(test) {
@@ -430,16 +377,16 @@ func dispatch(cmd string, opt expt.SweepOptions, outDir, stateDirOpt string, lif
 		}
 		plan, err := predict.BuildPlan(w.Net, cal, predict.PlannerConfig{
 			Base: acfg,
-			SLO:  predict.SLO{MaxMiss: planOpt.MaxMiss, MinAvailability: planOpt.MinAvail},
+			SLO:  predict.SLO{MaxMiss: f.planMiss, MinAvailability: f.planAvail},
 		})
 		if err != nil {
 			return err
 		}
 		fmt.Printf("\nProtection plan for %s (base %s, %d-bit cells, stuck %.4g)\n",
-			w.Name, sch.Name, planOpt.Bits, planOpt.Stuck)
-		fmt.Printf("SLO: miss <= %.3f", planOpt.MaxMiss)
-		if planOpt.MinAvail > 0 {
-			fmt.Printf(", availability >= %.4f", planOpt.MinAvail)
+			w.Name, sch.Name, f.planBits, f.planStuck)
+		fmt.Printf("SLO: miss <= %.3f", f.planMiss)
+		if f.planAvail > 0 {
+			fmt.Printf(", availability >= %.4f", f.planAvail)
 		}
 		fmt.Println()
 		fmt.Printf("%-6s %-10s %10s %12s %12s %10s %6s\n",
@@ -460,29 +407,28 @@ func dispatch(cmd string, opt expt.SweepOptions, outDir, stateDirOpt string, lif
 		}
 		fmt.Printf("  area %.2f mm2  power %.2f W  (%d configs searched)\n",
 			plan.Bill.Area.AreaMM2, plan.Bill.Area.PowerMW/1000, plan.Searched)
-		return writeCSV(outDir, "plan.csv", func(f *os.File) error {
-			if _, err := fmt.Fprintln(f, "layer,scheme,p_detect,var_out,area_mm2,power_mw,kappa"); err != nil {
-				return err
-			}
-			for _, lp := range plan.Layers {
-				if _, err := fmt.Fprintf(f, "%d,%s,%.6g,%.6g,%.6g,%.6g,%.4g\n",
-					lp.Layer, lp.Scheme, lp.PDetect, lp.VarOut, lp.AreaMM2, lp.PowerMW, lp.Kappa); err != nil {
-					return err
-				}
-			}
-			return nil
+		return f.writeCSV("plan.csv", func(out io.Writer) error {
+			return expt.WriteCSV(out, []string{"layer", "scheme", "p_detect", "var_out", "area_mm2", "power_mw", "kappa"}, plan.Layers,
+				func(lp predict.LayerPlan) []string {
+					return []string{
+						strconv.Itoa(lp.Layer), lp.Scheme,
+						fmt.Sprintf("%.6g", lp.PDetect),
+						fmt.Sprintf("%.6g", lp.VarOut),
+						fmt.Sprintf("%.6g", lp.AreaMM2),
+						fmt.Sprintf("%.6g", lp.PowerMW),
+						fmt.Sprintf("%.4g", lp.Kappa),
+					}
+				})
 		})
 	case "batch":
-		workloads, err := expt.DigitWorkloads(opt.Train)
+		workloads, err := f.workloads()
 		if err != nil {
 			return err
 		}
 		w := workloads[0]
-		dev := opt.Device
-		dev.BitsPerCell = 2
 		acfg := accel.DefaultConfig(accel.SchemeABN(9))
-		acfg.Device = dev
-		acfg.DeviceName = batchOpt.Device
+		acfg.Device = f.dev(2)
+		acfg.DeviceName = f.device
 		acfg.Seed = opt.Seed
 		eng, err := accel.Map(w.Net, acfg)
 		if err != nil {
@@ -492,7 +438,7 @@ func dispatch(cmd string, opt expt.SweepOptions, outDir, stateDirOpt string, lif
 		if opt.Images > 0 && opt.Images < len(test) {
 			test = test[:opt.Images]
 		}
-		b := batchOpt.Size
+		b := f.batchSize
 		if b < 1 {
 			b = 1
 		}
@@ -551,7 +497,7 @@ func dispatch(cmd string, opt expt.SweepOptions, outDir, stateDirOpt string, lif
 		fmt.Printf("bit-identity: all %d batched outputs match the serial path exactly\n", len(test))
 		return nil
 	case "ablate":
-		workloads, err := expt.DigitWorkloads(opt.Train)
+		workloads, err := f.workloads()
 		if err != nil {
 			return err
 		}
@@ -567,109 +513,111 @@ func dispatch(cmd string, opt expt.SweepOptions, outDir, stateDirOpt string, lif
 		}
 		return nil
 	case "faults":
-		workloads, err := expt.DigitWorkloads(opt.Train)
+		workloads, err := f.workloads()
 		if err != nil {
 			return err
 		}
-		w := workloads[0]
-		dev := opt.Device
-		dev.BitsPerCell = 2
 		cfg := expt.FaultSweepConfig{
-			Device:   dev,
+			Device:   f.dev(2),
 			Schemes:  []accel.Scheme{accel.SchemeNoECC(), accel.SchemeStatic128(), accel.SchemeABN(9)},
-			Retries:  opt.Retries,
 			Images:   opt.Images,
 			Seed:     opt.Seed,
 			Workers:  opt.Workers,
-			Lifetime: life,
-			StateDir: stateDirOpt,
+			Lifetime: f.life,
+			StateDir: f.stateDir,
 		}
-		points, err := expt.RunFaultCampaign(w, cfg, opt.Progress)
+		points, err := expt.RunFaultCampaign(workloads[0], cfg, opt.Progress)
 		if err != nil {
 			return err
 		}
 		expt.RenderFaults(os.Stdout, points)
-		return writeCSV(outDir, "faults.csv", func(f *os.File) error {
-			return expt.WriteFaultsCSV(f, points)
+		return f.writeCSV("faults.csv", func(w io.Writer) error {
+			return expt.WriteFaultsCSV(w, points)
 		})
 	case "scrub":
-		workloads, err := expt.DigitWorkloads(opt.Train)
+		workloads, err := f.workloads()
 		if err != nil {
 			return err
 		}
-		w := workloads[0]
-		dev := opt.Device
-		dev.BitsPerCell = 2
 		cfg := expt.ScrubSweepConfig{
-			Device:      dev,
+			Device:      f.dev(2),
 			Scheme:      accel.SchemeABN(9),
-			Retries:     opt.Retries,
 			Images:      opt.Images,
 			Seed:        opt.Seed,
 			Workers:     opt.Workers,
-			Lifetime:    expt.DefaultScrubLifetime(scrubOpt.Steps),
-			SpareRows:   scrubOpt.SpareRows,
-			VerifyIters: scrubOpt.VerifyIters,
-			BandSlack:   scrubOpt.BandSlack,
+			Lifetime:    expt.DefaultScrubLifetime(f.scrubSteps),
+			SpareRows:   f.spareRows,
+			VerifyIters: f.verifyIters,
+			BandSlack:   f.scrubSlack,
 		}
-		res, err := expt.RunScrubSweep(w, cfg, opt.Progress)
+		res, err := expt.RunScrubSweep(workloads[0], cfg, opt.Progress)
 		if err != nil {
 			return err
 		}
 		expt.RenderScrub(os.Stdout, res)
-		return writeCSV(outDir, "scrub.csv", func(f *os.File) error {
-			return expt.WriteScrubCSV(f, res)
+		return f.writeCSV("scrub.csv", func(w io.Writer) error {
+			return expt.WriteScrubCSV(w, res)
 		})
 	case "replicas":
-		workloads, err := expt.DigitWorkloads(opt.Train)
+		workloads, err := f.workloads()
 		if err != nil {
 			return err
 		}
-		w := workloads[0]
-		dev := opt.Device
-		dev.BitsPerCell = 2
 		cfg := expt.ReplicaSweepConfig{
-			Device:        dev,
+			Device:        f.dev(2),
 			Scheme:        accel.SchemeABN(9),
-			Retries:       opt.Retries,
 			Images:        opt.Images,
 			Seed:          opt.Seed,
-			Replicas:      repOpt.Replicas,
-			VoteThreshold: repOpt.VoteThreshold,
-			SpareRows:     repOpt.SpareRows,
-			Lifetime:      life,
+			Replicas:      f.replicaList,
+			VoteThreshold: f.voteThreshold,
+			SpareRows:     f.spareRows,
+			Lifetime:      f.life,
 		}
-		points, err := expt.RunReplicaSweep(w, cfg, opt.Progress)
+		points, err := expt.RunReplicaSweep(workloads[0], cfg, opt.Progress)
 		if err != nil {
 			return err
 		}
 		expt.RenderReplicas(os.Stdout, points)
-		return writeCSV(outDir, "replicas.csv", func(f *os.File) error {
-			return expt.WriteReplicasCSV(f, points)
+		return f.writeCSV("replicas.csv", func(w io.Writer) error {
+			return expt.WriteReplicasCSV(w, points)
 		})
 	default:
 		return fmt.Errorf("unknown subcommand %q", cmd)
 	}
 }
 
-func writeCSV(dir, name string, write func(*os.File) error) error {
-	if dir == "" {
+// writeCSV writes one results file under -out; without -out it does
+// nothing.
+func (f *flags) writeCSV(name string, write func(io.Writer) error) error {
+	if f.out == "" {
 		return nil
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := os.MkdirAll(f.out, 0o755); err != nil {
 		return err
 	}
-	path := filepath.Join(dir, name)
-	f, err := os.Create(path)
+	path := filepath.Join(f.out, name)
+	file, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	if err := write(f); err != nil {
+	if err := errors.Join(write(file), file.Close()); err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "wrote %s\n", path)
 	return nil
+}
+
+// ints parses the comma-separated integer list of flag -name.
+func ints(name, s string) ([]int, error) {
+	var out []int
+	for _, tok := range splitCSV(s) {
+		var v int
+		if _, err := fmt.Sscanf(tok, "%d", &v); err != nil {
+			return nil, fmt.Errorf("bad -%s entry %q", name, tok)
+		}
+		out = append(out, v)
+	}
+	return out, nil
 }
 
 func splitCSV(s string) []string {

@@ -5,9 +5,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"repro/internal/expt"
-	"repro/internal/fault"
 )
 
 func TestSplitCSV(t *testing.T) {
@@ -32,7 +29,7 @@ func TestSplitCSV(t *testing.T) {
 }
 
 func TestDispatchUnknown(t *testing.T) {
-	if err := dispatch("nope", expt.DefaultSweepOptions(), "", "", fault.LifetimeParams{}, scrubOptions{}, replicaOptions{}, planOptions{}, scenarioOptions{}, batchOptions{}); err == nil {
+	if err := run([]string{"nope"}); err == nil {
 		t.Fatal("unknown subcommand must error")
 	}
 }
@@ -40,11 +37,10 @@ func TestDispatchUnknown(t *testing.T) {
 func TestDispatchTable4AndFig7(t *testing.T) {
 	// table4 and fig7 need no workloads; fig7 also writes a CSV.
 	dir := t.TempDir()
-	if err := dispatch("table4", expt.DefaultSweepOptions(), "", "", fault.LifetimeParams{}, scrubOptions{}, replicaOptions{}, planOptions{}, scenarioOptions{}, batchOptions{}); err != nil {
+	if err := run([]string{"table4"}); err != nil {
 		t.Fatal(err)
 	}
-	opt := expt.DefaultSweepOptions()
-	if err := dispatch("fig7", opt, dir, "", fault.LifetimeParams{}, scrubOptions{}, replicaOptions{}, planOptions{}, scenarioOptions{}, batchOptions{}); err != nil {
+	if err := run([]string{"-out", dir, "fig7"}); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(filepath.Join(dir, "fig7.csv"))

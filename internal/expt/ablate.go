@@ -11,6 +11,15 @@ type AblationResult struct {
 	Cell CellResult
 }
 
+// Ablation is one design-choice variant: the scheme it evaluates and, for
+// the variants a scheme cannot express, the change it makes to the engine
+// recipe (nil when the scheme alone is the variant).
+type Ablation struct {
+	Name   string
+	Scheme accel.Scheme
+	Engine func(*accel.Config)
+}
+
 // AblationSpecs returns the design-choice variants DESIGN.md calls out,
 // all anchored on the ABN-9 configuration:
 //
@@ -27,11 +36,7 @@ type AblationResult struct {
 //     grouping disabled)
 //   - differential:    PRIME-style positive/negative row pairs instead of
 //     ISAAC's offset-binary negative-weight encoding
-func AblationSpecs() []struct {
-	Name    string
-	Scheme  accel.Scheme
-	Retries int
-} {
+func AblationSpecs() []Ablation {
 	base := accel.SchemeABN(9)
 	full := base
 	full.FullSearch = true
@@ -47,18 +52,14 @@ func AblationSpecs() []struct {
 	g1.Name = "ungrouped"
 	diff := base
 	diff.Name = "differential"
-	return []struct {
-		Name    string
-		Scheme  accel.Scheme
-		Retries int
-	}{
-		{"abn9", base, 0},
-		{"full-search", full, 0},
-		{"no-retry", base, -1}, // -1 encodes "force zero retries"
-		{"zero-guard", zg, 0},
-		{"group-4", g4, 0},
-		{"ungrouped", g1, 0},
-		{"differential", diff, -2}, // -2 encodes the PRIME-style encoding
+	return []Ablation{
+		{Name: "abn9", Scheme: base},
+		{Name: "full-search", Scheme: full},
+		{Name: "no-retry", Scheme: base, Engine: func(c *accel.Config) { c.Retries = 0 }},
+		{Name: "zero-guard", Scheme: zg},
+		{Name: "group-4", Scheme: g4},
+		{Name: "ungrouped", Scheme: g1},
+		{Name: "differential", Scheme: diff, Engine: func(c *accel.Config) { c.Encoding = accel.EncodingDifferential }},
 	}
 }
 
@@ -68,16 +69,12 @@ func RunAblations(w Workload, opt SweepOptions) ([]AblationResult, error) {
 	dev.BitsPerCell = 2
 	var out []AblationResult
 	for _, spec := range AblationSpecs() {
-		cfg := EvalConfig{
-			Device: dev, Scheme: spec.Scheme, Retries: opt.Retries,
-			Images: opt.Images, Seed: opt.Seed, Workers: opt.Workers,
+		cfg := opt.cell(dev, spec.Scheme)
+		acfg := cfg.engineConfig()
+		if spec.Engine != nil {
+			spec.Engine(&acfg)
 		}
-		if spec.Retries < 0 {
-			// Negative values are variant selectors handled by
-			// evaluateWithRetryOverride, not retry counts.
-			cfg.Retries = spec.Retries
-		}
-		cell, err := evaluateWithRetryOverride(w, cfg)
+		cell, err := evaluateMapped(w, cfg, acfg)
 		if err != nil {
 			return nil, err
 		}
@@ -86,26 +83,4 @@ func RunAblations(w Workload, opt SweepOptions) ([]AblationResult, error) {
 			spec.Name, cell.MissRate(), cell.Stats.Corrected, cell.Stats.Detected)
 	}
 	return out, nil
-}
-
-// evaluateWithRetryOverride is EvaluateScheme plus support for the two
-// variants the plain config cannot express: the zero-retry revert policy
-// (cfg.Retries == -1) and differential weight encoding (cfg.Retries == -2).
-func evaluateWithRetryOverride(w Workload, cfg EvalConfig) (CellResult, error) {
-	switch cfg.Retries {
-	case -1:
-		acfg := accel.DefaultConfig(cfg.Scheme)
-		acfg.Device = cfg.Device
-		acfg.Retries = 0
-		acfg.Seed = cfg.Seed
-		return evaluateMapped(w, acfg, cfg)
-	case -2:
-		acfg := accel.DefaultConfig(cfg.Scheme)
-		acfg.Device = cfg.Device
-		acfg.Encoding = accel.EncodingDifferential
-		acfg.Seed = cfg.Seed
-		return evaluateMapped(w, acfg, cfg)
-	default:
-		return EvaluateScheme(w, cfg)
-	}
 }

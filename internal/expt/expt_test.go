@@ -174,6 +174,10 @@ func TestRenderSweepAndCSV(t *testing.T) {
 	if !strings.HasPrefix(lines[0], "workload,scheme,bits,miss") {
 		t.Fatalf("CSV header = %q", lines[0])
 	}
+	checkGolden(t, "sweep.csv", buf.Bytes())
+	buf.Reset()
+	RenderSweep(&buf, cells)
+	checkGolden(t, "sweep.txt", buf.Bytes())
 }
 
 func TestRenderTable4(t *testing.T) {
@@ -207,6 +211,10 @@ func TestFig7RenderAndCSV(t *testing.T) {
 	if lines := strings.Count(buf.String(), "\n"); lines != len(res.Samples)+1 {
 		t.Fatalf("CSV rows = %d, want %d", lines, len(res.Samples)+1)
 	}
+	checkGolden(t, "fig7.csv", buf.Bytes())
+	buf.Reset()
+	RenderFig7(&buf, res)
+	checkGolden(t, "fig7.txt", buf.Bytes())
 }
 
 func TestWorkloadCaching(t *testing.T) {

@@ -1,7 +1,6 @@
 package expt
 
 import (
-	"encoding/csv"
 	"errors"
 	"fmt"
 	"io"
@@ -67,21 +66,16 @@ func RunFaultCampaign(w Workload, cfg FaultSweepConfig, prog Progress) ([]FaultP
 	}
 	var points []FaultPoint
 	for _, sch := range cfg.Schemes {
-		acfg := accel.DefaultConfig(sch)
-		acfg.Device = cfg.Device
-		if cfg.Retries > 0 {
-			acfg.Retries = cfg.Retries
-		}
-		acfg.Seed = cfg.Seed
-		eng, err := accel.Map(w.Net, acfg)
+		evalCfg := EvalConfig{Device: cfg.Device, Scheme: sch, Retries: cfg.Retries,
+			Images: cfg.Images, Seed: cfg.Seed, Workers: cfg.Workers}
+		eng, err := mapEngine(w, evalCfg.engineConfig())
 		if err != nil {
-			return nil, fmt.Errorf("expt: mapping %s under %s: %w", w.Name, sch.Name, err)
+			return nil, err
 		}
 		runner, err := fault.NewRunner(fault.LifetimeCampaign(cfg.Seed, eng.Layers(), cfg.Lifetime), eng)
 		if err != nil {
 			return nil, err
 		}
-		evalCfg := EvalConfig{Scheme: sch, Images: cfg.Images, Seed: cfg.Seed, Workers: cfg.Workers}
 		startStep := 0
 		var stateDir string
 		if cfg.StateDir != "" {
@@ -101,9 +95,7 @@ func RunFaultCampaign(w Workload, cfg FaultSweepConfig, prog Progress) ([]FaultP
 					return nil, err
 				}
 			}
-			// Distinct noise-stream block per step so the Monte-Carlo
-			// draws are independent across the lifetime.
-			cell := runEval(eng, w, evalCfg, cfg.Seed*100_000+uint64(step)*1_000_000_000)
+			cell := runEval(eng, w, evalCfg, stepStream(cfg.Seed, step))
 			stuck, drifted := countFaults(eng)
 			p := FaultPoint{
 				Workload: w.Name, Scheme: sch.Name, Step: step,
@@ -229,29 +221,21 @@ func RenderFaults(w io.Writer, points []FaultPoint) {
 
 // WriteFaultsCSV emits the lifetime points as CSV.
 func WriteFaultsCSV(w io.Writer, points []FaultPoint) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"workload", "scheme", "step", "stuck_cells", "drifted_cells",
-		"miss", "halfwidth95", "detected_rate", "corrected", "detected", "retries", "residual"}); err != nil {
-		return err
-	}
-	for _, p := range points {
-		rec := []string{
-			p.Workload, p.Scheme, strconv.Itoa(p.Step),
-			strconv.Itoa(p.StuckCells), strconv.Itoa(p.DriftedCells),
-			fmt.Sprintf("%.6f", p.Miss.Rate()),
-			fmt.Sprintf("%.6f", p.Miss.HalfWidth95()),
-			fmt.Sprintf("%.6f", p.DetectedRate),
-			strconv.FormatUint(p.Stats.Corrected, 10),
-			strconv.FormatUint(p.Stats.Detected, 10),
-			strconv.FormatUint(p.Stats.Retries, 10),
-			strconv.FormatUint(p.Stats.Residual, 10),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
+	return WriteCSV(w, []string{"workload", "scheme", "step", "stuck_cells", "drifted_cells",
+		"miss", "halfwidth95", "detected_rate", "corrected", "detected", "retries", "residual"}, points,
+		func(p FaultPoint) []string {
+			return []string{
+				p.Workload, p.Scheme, strconv.Itoa(p.Step),
+				strconv.Itoa(p.StuckCells), strconv.Itoa(p.DriftedCells),
+				fmt.Sprintf("%.6f", p.Miss.Rate()),
+				fmt.Sprintf("%.6f", p.Miss.HalfWidth95()),
+				fmt.Sprintf("%.6f", p.DetectedRate),
+				strconv.FormatUint(p.Stats.Corrected, 10),
+				strconv.FormatUint(p.Stats.Detected, 10),
+				strconv.FormatUint(p.Stats.Retries, 10),
+				strconv.FormatUint(p.Stats.Residual, 10),
+			}
+		})
 }
 
 // countFaults sums the live stuck and drifted cell populations.

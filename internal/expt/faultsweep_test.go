@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"bytes"
 	"os"
 	"testing"
 
@@ -150,4 +151,35 @@ func testDevice() noise.DeviceParams {
 	d := noise.DefaultDeviceParams()
 	d.BitsPerCell = 2
 	return d
+}
+
+// TestFaultCampaignRendering: the lifetime table and CSV cover every
+// (scheme, step) of a small two-scheme campaign, pinned byte for byte.
+func TestFaultCampaignRendering(t *testing.T) {
+	w := tinyWorkload(t)
+	cfg := FaultSweepConfig{
+		Device:  testDevice(),
+		Schemes: []accel.Scheme{accel.SchemeNoECC(), accel.SchemeABN(8)},
+		Images:  12,
+		Seed:    5,
+		Workers: 2,
+		Lifetime: fault.LifetimeParams{
+			Steps: 2, StuckPerStep: 0.002, LRSFrac: 0.7,
+			DriftEvery: 1, DriftRate: 0.002, DriftDelta: 1,
+		},
+	}
+	points, err := RunFaultCampaign(w, cfg, Progress{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := len(cfg.Schemes) * (cfg.Lifetime.Steps + 1); len(points) != want {
+		t.Fatalf("got %d points, want %d", len(points), want)
+	}
+	var tbl, csvBuf bytes.Buffer
+	RenderFaults(&tbl, points)
+	if err := WriteFaultsCSV(&csvBuf, points); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "faults.txt", tbl.Bytes())
+	checkGolden(t, "faults.csv", csvBuf.Bytes())
 }

@@ -33,25 +33,30 @@ func DefaultSweepOptions() SweepOptions {
 	}
 }
 
-// RunFig10 reproduces Figure 10: misclassification of MLP1/MLP2/CNN1 over
-// 1-5 bits per cell under every scheme, fault-free.
-func RunFig10(opt SweepOptions) ([]CellResult, error) {
+// cell is one Monte-Carlo cell of the sweep at a device point.
+func (o SweepOptions) cell(dev noise.DeviceParams, sch accel.Scheme) EvalConfig {
+	return EvalConfig{
+		Device: dev, Scheme: sch, Retries: o.Retries,
+		Images: o.Images, Seed: o.Seed, Workers: o.Workers,
+	}
+}
+
+// RunFig10 reproduces Figure 10: misclassification of the digit workloads
+// (MLP1/MLP2/CNN1, see DigitWorkloads) over 1-5 bits per cell under every
+// scheme, fault-free.
+func RunFig10(workloads []Workload, opt SweepOptions) ([]CellResult, error) {
 	opt.Device.FailureRate = 0
-	return runSweep(opt)
+	return runSweep(workloads, opt)
 }
 
 // RunFig11 reproduces Figure 11: the same sweep with 0.1% stuck-at cell
 // faults (Table I failure rate).
-func RunFig11(opt SweepOptions) ([]CellResult, error) {
+func RunFig11(workloads []Workload, opt SweepOptions) ([]CellResult, error) {
 	opt.Device.FailureRate = 0.001
-	return runSweep(opt)
+	return runSweep(workloads, opt)
 }
 
-func runSweep(opt SweepOptions) ([]CellResult, error) {
-	workloads, err := DigitWorkloads(opt.Train)
-	if err != nil {
-		return nil, err
-	}
+func runSweep(workloads []Workload, opt SweepOptions) ([]CellResult, error) {
 	var out []CellResult
 	for _, w := range workloads {
 		sw := EvaluateSoftware(w, opt.Images, 0)
@@ -61,10 +66,7 @@ func runSweep(opt SweepOptions) ([]CellResult, error) {
 			dev := opt.Device
 			dev.BitsPerCell = bits
 			for _, sch := range FigureSchemes() {
-				cell, err := EvaluateScheme(w, EvalConfig{
-					Device: dev, Scheme: sch, Retries: opt.Retries,
-					Images: opt.Images, Seed: opt.Seed, Workers: opt.Workers,
-				})
+				cell, err := EvaluateScheme(w, opt.cell(dev, sch))
 				if err != nil {
 					return nil, err
 				}
@@ -85,15 +87,12 @@ type Fig12Point struct {
 	Cells []CellResult
 }
 
-// RunFig12 reproduces Figure 12: MLP1 at 2 bits per cell, sweeping the RTN
-// amplitude (RLo DeltaR/R, which scales both the Ielmini curve and the
-// giant-event amplitude proportionally) and the RTN error-state probability
-// (scaling both the background occupancy and the giant flicker rate).
-func RunFig12(opt SweepOptions) ([]Fig12Point, error) {
-	workloads, err := DigitWorkloads(opt.Train)
-	if err != nil {
-		return nil, err
-	}
+// RunFig12 reproduces Figure 12: MLP1 (taken from workloads) at 2 bits per
+// cell, sweeping the RTN amplitude (RLo DeltaR/R, which scales both the
+// Ielmini curve and the giant-event amplitude proportionally) and the RTN
+// error-state probability (scaling both the background occupancy and the
+// giant flicker rate).
+func RunFig12(workloads []Workload, opt SweepOptions) ([]Fig12Point, error) {
 	var mlp1 Workload
 	for _, w := range workloads {
 		if w.Name == "MLP1" {
@@ -142,10 +141,7 @@ func fig12Point(w Workload, dev noise.DeviceParams, knob string, val float64, op
 	pt := Fig12Point{Knob: knob, Value: val}
 	pt.Cells = append(pt.Cells, EvaluateSoftware(w, opt.Images, 0))
 	for _, sch := range FigureSchemes() {
-		cell, err := EvaluateScheme(w, EvalConfig{
-			Device: dev, Scheme: sch, Retries: opt.Retries,
-			Images: opt.Images, Seed: opt.Seed, Workers: opt.Workers,
-		})
+		cell, err := EvaluateScheme(w, opt.cell(dev, sch))
 		if err != nil {
 			return pt, err
 		}
@@ -173,19 +169,16 @@ func RunTable3(opt SweepOptions) (Table3Result, error) {
 	res.Software = EvaluateSoftware(w, opt.Images, 5)
 	opt.Progress.Printf("table3 software top1=%.4f top5=%.4f\n",
 		res.Software.Miss.Rate(), res.Software.MissTopK.Rate())
-	res.Uncorrected, err = EvaluateScheme(w, EvalConfig{
-		Device: dev, Scheme: accel.SchemeNoECC(), Retries: opt.Retries,
-		Images: opt.Images, Seed: opt.Seed, Workers: opt.Workers, TopK: 5,
-	})
+	cfg := opt.cell(dev, accel.SchemeNoECC())
+	cfg.TopK = 5
+	res.Uncorrected, err = EvaluateScheme(w, cfg)
 	if err != nil {
 		return res, err
 	}
 	opt.Progress.Printf("table3 uncorrected top1=%.4f top5=%.4f\n",
 		res.Uncorrected.Miss.Rate(), res.Uncorrected.MissTopK.Rate())
-	res.ABN9, err = EvaluateScheme(w, EvalConfig{
-		Device: dev, Scheme: accel.SchemeABN(9), Retries: opt.Retries,
-		Images: opt.Images, Seed: opt.Seed, Workers: opt.Workers, TopK: 5,
-	})
+	cfg.Scheme = accel.SchemeABN(9)
+	res.ABN9, err = EvaluateScheme(w, cfg)
 	if err != nil {
 		return res, err
 	}

@@ -3,12 +3,12 @@ package expt
 import (
 	"encoding/csv"
 	"fmt"
-	"io"
 	"os"
 	"strconv"
 	"strings"
 
 	"repro/internal/accel"
+	"repro/internal/noise"
 	"repro/internal/predict"
 )
 
@@ -162,18 +162,13 @@ func RunPredictorValidation(opt PredictorValidationOptions) ([]PredictorRow, err
 			cals[row.Workload] = cal
 		}
 
-		// Rebuild the measured cell's engine bit for bit: EvaluateScheme's
-		// configuration with the sweep's device and seed.
-		acfg := accel.DefaultConfig(sch)
-		acfg.Device.BitsPerCell = row.Bits
-		acfg.Device.FailureRate = opt.FailureRate
-		if opt.Retries > 0 {
-			acfg.Retries = opt.Retries
-		}
-		acfg.Seed = opt.Seed
-		eng, err := accel.Map(w.Net, acfg)
+		// The measured cell's engine, from EvaluateScheme's own recipe.
+		dev := noise.DefaultDeviceParams()
+		dev.BitsPerCell = row.Bits
+		dev.FailureRate = opt.FailureRate
+		eng, err := mapEngine(w, EvalConfig{Device: dev, Scheme: sch, Retries: opt.Retries, Seed: opt.Seed}.engineConfig())
 		if err != nil {
-			return nil, fmt.Errorf("expt: mapping %s %d-bit %s: %w", row.Workload, row.Bits, row.Scheme, err)
+			return nil, err
 		}
 		var noises []predict.LayerNoise
 		for _, li := range eng.Layers() {
@@ -194,29 +189,4 @@ func RunPredictorValidation(opt PredictorValidationOptions) ([]PredictorRow, err
 			row.Workload, row.Bits, row.Scheme, row.Miss, p.Miss, row.Drift, p.Drift)
 	}
 	return out, nil
-}
-
-// WritePredictorCSV renders validation rows as CSV.
-func WritePredictorCSV(w io.Writer, rows []PredictorRow) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"workload", "scheme", "bits", "failure_rate",
-		"measured_miss", "predicted_miss", "halfwidth95", "measured_drift", "predicted_drift"}); err != nil {
-		return err
-	}
-	for _, r := range rows {
-		rec := []string{
-			r.Workload, r.Scheme, strconv.Itoa(r.Bits),
-			strconv.FormatFloat(r.FailureRate, 'g', -1, 64),
-			strconv.FormatFloat(r.MeasuredMiss, 'f', 6, 64),
-			strconv.FormatFloat(r.PredictedMiss, 'f', 6, 64),
-			strconv.FormatFloat(r.Halfwidth, 'f', 6, 64),
-			strconv.FormatFloat(r.MeasuredDrift, 'e', 6, 64),
-			strconv.FormatFloat(r.PredictedDrift, 'e', 6, 64),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }

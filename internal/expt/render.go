@@ -76,31 +76,39 @@ func RenderSweep(w io.Writer, cells []CellResult) {
 	}
 }
 
-// WriteSweepCSV emits the sweep cells as CSV.
-func WriteSweepCSV(w io.Writer, cells []CellResult) error {
+// WriteCSV writes a header and one record per row: the one CSV writer
+// behind every results file the harness emits.
+func WriteCSV[T any](w io.Writer, header []string, rows []T, record func(T) []string) error {
 	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"workload", "scheme", "bits", "miss", "halfwidth95",
-		"drift", "row_error_rate", "corrected", "detected", "retries", "residual"}); err != nil {
+	if err := cw.Write(header); err != nil {
 		return err
 	}
-	for _, c := range cells {
-		rec := []string{
-			c.Workload, c.Scheme, strconv.Itoa(c.Bits),
-			fmt.Sprintf("%.6f", c.MissRate()),
-			fmt.Sprintf("%.6f", c.Miss.HalfWidth95()),
-			fmt.Sprintf("%.6e", c.Drift.Mean()),
-			fmt.Sprintf("%.6e", c.Stats.RowErrorRate()),
-			strconv.FormatUint(c.Stats.Corrected, 10),
-			strconv.FormatUint(c.Stats.Detected, 10),
-			strconv.FormatUint(c.Stats.Retries, 10),
-			strconv.FormatUint(c.Stats.Residual, 10),
-		}
-		if err := cw.Write(rec); err != nil {
+	for _, r := range rows {
+		if err := cw.Write(record(r)); err != nil {
 			return err
 		}
 	}
 	cw.Flush()
 	return cw.Error()
+}
+
+// WriteSweepCSV emits the sweep cells as CSV.
+func WriteSweepCSV(w io.Writer, cells []CellResult) error {
+	return WriteCSV(w, []string{"workload", "scheme", "bits", "miss", "halfwidth95",
+		"drift", "row_error_rate", "corrected", "detected", "retries", "residual"}, cells,
+		func(c CellResult) []string {
+			return []string{
+				c.Workload, c.Scheme, strconv.Itoa(c.Bits),
+				fmt.Sprintf("%.6f", c.MissRate()),
+				fmt.Sprintf("%.6f", c.Miss.HalfWidth95()),
+				fmt.Sprintf("%.6e", c.Drift.Mean()),
+				fmt.Sprintf("%.6e", c.Stats.RowErrorRate()),
+				strconv.FormatUint(c.Stats.Corrected, 10),
+				strconv.FormatUint(c.Stats.Detected, 10),
+				strconv.FormatUint(c.Stats.Retries, 10),
+				strconv.FormatUint(c.Stats.Residual, 10),
+			}
+		})
 }
 
 // RenderFig12 prints the sensitivity table: misclassification and, because
@@ -160,19 +168,12 @@ func RenderFig7(w io.Writer, res *circuit.Result) {
 
 // WriteFig7CSV writes the transient trace for plotting.
 func WriteFig7CSV(w io.Writer, res *circuit.Result) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"time_s", "current_a", "error_steps"}); err != nil {
-		return err
-	}
-	for _, s := range res.Samples {
-		if err := cw.Write([]string{
-			fmt.Sprintf("%.6e", s.Time),
-			fmt.Sprintf("%.6e", s.Current),
-			strconv.Itoa(s.ErrorSteps),
-		}); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
+	return WriteCSV(w, []string{"time_s", "current_a", "error_steps"}, res.Samples,
+		func(s circuit.Sample) []string {
+			return []string{
+				fmt.Sprintf("%.6e", s.Time),
+				fmt.Sprintf("%.6e", s.Current),
+				strconv.Itoa(s.ErrorSteps),
+			}
+		})
 }

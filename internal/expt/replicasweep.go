@@ -2,7 +2,6 @@ package expt
 
 import (
 	"context"
-	"encoding/csv"
 	"fmt"
 	"io"
 	"strconv"
@@ -10,6 +9,7 @@ import (
 	"repro/internal/accel"
 	"repro/internal/fault"
 	"repro/internal/hwmodel"
+	"repro/internal/nn"
 	"repro/internal/noise"
 	"repro/internal/replica"
 	"repro/internal/serve"
@@ -87,16 +87,11 @@ func RunReplicaSweep(w Workload, cfg ReplicaSweepConfig, prog Progress) ([]Repli
 
 	var points []ReplicaPoint
 	for _, r := range rs {
-		acfg := accel.DefaultConfig(cfg.Scheme)
-		acfg.Device = cfg.Device
-		if cfg.Retries > 0 {
-			acfg.Retries = cfg.Retries
-		}
-		acfg.Seed = cfg.Seed
+		acfg := EvalConfig{Device: cfg.Device, Scheme: cfg.Scheme, Retries: cfg.Retries, Seed: cfg.Seed}.engineConfig()
 		acfg.SpareRows = cfg.SpareRows
-		eng, err := accel.Map(w.Net, acfg)
+		eng, err := mapEngine(w, acfg)
 		if err != nil {
-			return nil, fmt.Errorf("expt: mapping %s for R=%d: %w", w.Name, r, err)
+			return nil, err
 		}
 		mon := fault.MonitorConfig{Window: 2048, MinReads: 64, TripRate: 0.05}
 		sched, err := serve.NewScheduler(eng, serve.Config{
@@ -126,27 +121,14 @@ func RunReplicaSweep(w Workload, cfg ReplicaSweepConfig, prog Progress) ([]Repli
 					return nil, err
 				}
 			}
-			p := ReplicaPoint{Workload: w.Name, Replicas: r, Step: step,
-				AreaMM2: fp.Area.AreaMM2, PowerMW: fp.Area.PowerMW}
-			var reads hwmodel.ReadCounts
-			streamBase := cfg.Seed*100_000 + uint64(step)*1_000_000_000
-			for i, ex := range test {
-				pred, err := sched.Predict(ctx, ex.Input, streamBase+uint64(i)+1, 1)
-				if err != nil {
-					p.ServeErrors++
-					continue
-				}
-				p.Miss.AddOutcome(pred.Class != ex.Label)
-				if pred.Stats.SoftMVMs > 0 {
-					p.SoftAnswers++
-				}
-				reads.RowReads += pred.Stats.RowReads
-				reads.GroupReads += pred.Stats.GroupReads()
-				reads.Retries += pred.Stats.Retries
+			t := serveStep(ctx, sched, test, stepStream(cfg.Seed, step))
+			p := ReplicaPoint{
+				Workload: w.Name, Replicas: r, Step: step,
+				Miss: t.miss, ServeErrors: t.serveErrors, SoftAnswers: t.softAnswers, Availability: t.availability,
+				AreaMM2: fp.Area.AreaMM2, PowerMW: fp.Area.PowerMW,
 			}
 			if n := len(test); n > 0 {
-				p.Availability = float64(n-p.SoftAnswers-p.ServeErrors) / float64(n)
-				p.EnergyPerImageJ = energy.InferenceEnergy(reads) / float64(n)
+				p.EnergyPerImageJ = energy.InferenceEnergy(t.reads) / float64(n)
 			}
 			p.DegradedLayers = len(eng.DegradedLayers())
 			rc := sched.RecoveryCounters()
@@ -164,6 +146,41 @@ func RunReplicaSweep(w Workload, cfg ReplicaSweepConfig, prog Progress) ([]Repli
 		}
 	}
 	return points, nil
+}
+
+// servedStep is the traffic side of one lifetime step served through a
+// scheduler: accuracy, the software-fallback and 5xx budgets, and the read
+// counts the energy model bills.
+type servedStep struct {
+	miss         stats.Counter
+	serveErrors  int
+	softAnswers  int
+	availability float64 // share answered entirely from crossbars
+	reads        hwmodel.ReadCounts
+}
+
+// serveStep serves the test images through sched, image i on noise stream
+// streamBase+i+1, and tallies the answers.
+func serveStep(ctx context.Context, sched *serve.Scheduler, test []nn.Example, streamBase uint64) servedStep {
+	var t servedStep
+	for i, ex := range test {
+		pred, err := sched.Predict(ctx, ex.Input, streamBase+uint64(i)+1, 1)
+		if err != nil {
+			t.serveErrors++
+			continue
+		}
+		t.miss.AddOutcome(pred.Class != ex.Label)
+		if pred.Stats.SoftMVMs > 0 {
+			t.softAnswers++
+		}
+		t.reads.RowReads += pred.Stats.RowReads
+		t.reads.GroupReads += pred.Stats.GroupReads()
+		t.reads.Retries += pred.Stats.Retries
+	}
+	if n := len(test); n > 0 {
+		t.availability = float64(n-t.softAnswers-t.serveErrors) / float64(n)
+	}
+	return t
 }
 
 // RenderReplicas prints the R-sweep summary: accuracy and availability per
@@ -207,34 +224,26 @@ func RenderReplicas(w io.Writer, points []ReplicaPoint) {
 
 // WriteReplicasCSV emits the sweep points as CSV.
 func WriteReplicasCSV(w io.Writer, points []ReplicaPoint) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"workload", "replicas", "step", "miss", "halfwidth95",
+	return WriteCSV(w, []string{"workload", "replicas", "step", "miss", "halfwidth95",
 		"availability", "soft_answers", "serve_errors", "degraded_layers",
 		"failovers", "degrades", "votes", "disagreements",
-		"area_mm2", "power_mw", "energy_per_image_j"}); err != nil {
-		return err
-	}
-	for _, p := range points {
-		rec := []string{
-			p.Workload, strconv.Itoa(p.Replicas), strconv.Itoa(p.Step),
-			fmt.Sprintf("%.6f", p.Miss.Rate()),
-			fmt.Sprintf("%.6f", p.Miss.HalfWidth95()),
-			fmt.Sprintf("%.6f", p.Availability),
-			strconv.Itoa(p.SoftAnswers),
-			strconv.Itoa(p.ServeErrors),
-			strconv.Itoa(p.DegradedLayers),
-			strconv.FormatUint(p.Failovers, 10),
-			strconv.FormatUint(p.Degrades, 10),
-			strconv.FormatUint(p.Votes, 10),
-			strconv.FormatUint(p.Disagreements, 10),
-			fmt.Sprintf("%.4f", p.AreaMM2),
-			fmt.Sprintf("%.2f", p.PowerMW),
-			fmt.Sprintf("%.6e", p.EnergyPerImageJ),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
+		"area_mm2", "power_mw", "energy_per_image_j"}, points,
+		func(p ReplicaPoint) []string {
+			return []string{
+				p.Workload, strconv.Itoa(p.Replicas), strconv.Itoa(p.Step),
+				fmt.Sprintf("%.6f", p.Miss.Rate()),
+				fmt.Sprintf("%.6f", p.Miss.HalfWidth95()),
+				fmt.Sprintf("%.6f", p.Availability),
+				strconv.Itoa(p.SoftAnswers),
+				strconv.Itoa(p.ServeErrors),
+				strconv.Itoa(p.DegradedLayers),
+				strconv.FormatUint(p.Failovers, 10),
+				strconv.FormatUint(p.Degrades, 10),
+				strconv.FormatUint(p.Votes, 10),
+				strconv.FormatUint(p.Disagreements, 10),
+				fmt.Sprintf("%.4f", p.AreaMM2),
+				fmt.Sprintf("%.2f", p.PowerMW),
+				fmt.Sprintf("%.6e", p.EnergyPerImageJ),
+			}
+		})
 }

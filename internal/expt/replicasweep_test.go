@@ -114,4 +114,6 @@ func TestReplicaSweepRendering(t *testing.T) {
 	if want := len(points); lines != want {
 		t.Fatalf("csv rows = %d, want %d", lines, want)
 	}
+	checkGolden(t, "replicas.txt", tbl.Bytes())
+	checkGolden(t, "replicas.csv", csvBuf.Bytes())
 }

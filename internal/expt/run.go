@@ -61,23 +61,48 @@ func EvaluateSoftware(w Workload, images, topK int) CellResult {
 // and measures misclassification over the test subset, parallelized over
 // images with per-worker sessions.
 func EvaluateScheme(w Workload, cfg EvalConfig) (CellResult, error) {
-	acfg := accel.DefaultConfig(cfg.Scheme)
-	acfg.Device = cfg.Device
-	if cfg.Retries > 0 {
-		acfg.Retries = cfg.Retries
+	return evaluateMapped(w, cfg, cfg.engineConfig())
+}
+
+// engineConfig is the harness's one engine recipe: the paper's evaluation
+// configuration under the cell's scheme, device and seed, with the retry
+// budget overridden only when set. Every sweep maps its engine from here and
+// sets only what differs (spare rows, verify iterations, device name), so a
+// sweep's engine at step 0 is EvaluateScheme's engine seed for seed.
+func (c EvalConfig) engineConfig() accel.Config {
+	acfg := accel.DefaultConfig(c.Scheme)
+	acfg.Device = c.Device
+	if c.Retries > 0 {
+		acfg.Retries = c.Retries
 	}
-	acfg.Seed = cfg.Seed
-	return evaluateMapped(w, acfg, cfg)
+	acfg.Seed = c.Seed
+	return acfg
+}
+
+// mapEngine maps the workload under a fully specified configuration.
+func mapEngine(w Workload, acfg accel.Config) (*accel.Engine, error) {
+	eng, err := accel.Map(w.Net, acfg)
+	if err != nil {
+		return nil, fmt.Errorf("expt: mapping %s under %s: %w", w.Name, acfg.Scheme.Name, err)
+	}
+	return eng, nil
 }
 
 // evaluateMapped runs the Monte-Carlo over a fully specified accelerator
 // configuration.
-func evaluateMapped(w Workload, acfg accel.Config, cfg EvalConfig) (CellResult, error) {
-	eng, err := accel.Map(w.Net, acfg)
+func evaluateMapped(w Workload, cfg EvalConfig, acfg accel.Config) (CellResult, error) {
+	eng, err := mapEngine(w, acfg)
 	if err != nil {
-		return CellResult{}, fmt.Errorf("expt: mapping %s under %s: %w", w.Name, cfg.Scheme.Name, err)
+		return CellResult{}, err
 	}
-	return runEval(eng, w, cfg, cfg.Seed*100_000), nil
+	return runEval(eng, w, cfg, stepStream(cfg.Seed, 0)), nil
+}
+
+// stepStream is the noise-stream base of lifetime step step: a distinct
+// block per step, so the Monte-Carlo draws are independent across the
+// lifetime, and step 0 is EvaluateScheme's own base.
+func stepStream(seed uint64, step int) uint64 {
+	return seed*100_000 + uint64(step)*1_000_000_000
 }
 
 // runEval measures misclassification over the test subset against an

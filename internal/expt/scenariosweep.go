@@ -2,7 +2,6 @@ package expt
 
 import (
 	"context"
-	"encoding/csv"
 	"fmt"
 	"io"
 	"strconv"
@@ -140,15 +139,10 @@ func RunScenarioSweep(w Workload, cfg ScenarioSweepConfig, prog Progress) ([]Sce
 // environment and wear timeline, served on the step clock with either a
 // fixed or controller-driven protection posture.
 func runScenarioArm(w Workload, cfg ScenarioSweepConfig, devName string, dev noise.DeviceParams, tl scenario.Timeline, arm string, prog Progress) ([]ScenarioPoint, error) {
-	acfg := accel.DefaultConfig(cfg.Scheme)
-	acfg.Device = dev
+	acfg := EvalConfig{Device: dev, Scheme: cfg.Scheme, Retries: cfg.Retries, Seed: cfg.Seed}.engineConfig()
 	acfg.DeviceName = devName
-	if cfg.Retries > 0 {
-		acfg.Retries = cfg.Retries
-	}
-	acfg.Seed = cfg.Seed
 	acfg.SpareRows = cfg.SpareRows
-	eng, err := accel.Map(w.Net, acfg)
+	eng, err := mapEngine(w, acfg)
 	if err != nil {
 		return nil, err
 	}
@@ -194,24 +188,12 @@ func runScenarioArm(w Workload, cfg ScenarioSweepConfig, devName string, dev noi
 				return nil, err
 			}
 		}
+		t := serveStep(ctx, sched, test, stepStream(cfg.Seed, step))
 		p := ScenarioPoint{
 			Workload: w.Name, Device: devName, Scheme: cfg.Scheme.Name,
 			Scenario: tl.Spec, Arm: arm, Step: step,
-		}
-		streamBase := cfg.Seed*100_000 + uint64(step)*1_000_000_000
-		for i, ex := range test {
-			pred, err := sched.Predict(ctx, ex.Input, streamBase+uint64(i)+1, 1)
-			if err != nil {
-				p.ServeErrors++
-				continue
-			}
-			p.Miss.AddOutcome(pred.Class != ex.Label)
-			if pred.Stats.SoftMVMs > 0 {
-				p.SoftAnswers++
-			}
-		}
-		if n := len(test); n > 0 {
-			p.Availability = float64(n-p.SoftAnswers-p.ServeErrors) / float64(n)
+			Miss: t.miss, ServeErrors: t.serveErrors, SoftAnswers: t.softAnswers,
+			Availability: t.availability,
 		}
 
 		// Protection work on the step clock: the adaptive arm decides from
@@ -353,34 +335,26 @@ func RenderScenarios(w io.Writer, points []ScenarioPoint) {
 
 // WriteScenariosCSV emits the sweep points as CSV.
 func WriteScenariosCSV(w io.Writer, points []ScenarioPoint) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"workload", "device", "scheme", "scenario", "arm", "step",
+	return WriteCSV(w, []string{"workload", "device", "scheme", "scenario", "arm", "step",
 		"miss", "halfwidth95", "availability", "soft_answers", "serve_errors",
 		"degraded_layers", "level", "patrol_passes", "rows_spared",
-		"cells_reprogrammed", "tightens", "relaxes", "degrades"}); err != nil {
-		return err
-	}
-	for _, p := range points {
-		rec := []string{
-			p.Workload, p.Device, p.Scheme, p.Scenario, p.Arm, strconv.Itoa(p.Step),
-			fmt.Sprintf("%.6f", p.Miss.Rate()),
-			fmt.Sprintf("%.6f", p.Miss.HalfWidth95()),
-			fmt.Sprintf("%.6f", p.Availability),
-			strconv.Itoa(p.SoftAnswers),
-			strconv.Itoa(p.ServeErrors),
-			strconv.Itoa(p.DegradedLayers),
-			strconv.Itoa(p.Level),
-			strconv.Itoa(p.PatrolPasses),
-			strconv.FormatUint(p.RowsSpared, 10),
-			strconv.FormatUint(p.CellsReprogrammed, 10),
-			strconv.FormatUint(p.Tightens, 10),
-			strconv.FormatUint(p.Relaxes, 10),
-			strconv.FormatUint(p.Degrades, 10),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
+		"cells_reprogrammed", "tightens", "relaxes", "degrades"}, points,
+		func(p ScenarioPoint) []string {
+			return []string{
+				p.Workload, p.Device, p.Scheme, p.Scenario, p.Arm, strconv.Itoa(p.Step),
+				fmt.Sprintf("%.6f", p.Miss.Rate()),
+				fmt.Sprintf("%.6f", p.Miss.HalfWidth95()),
+				fmt.Sprintf("%.6f", p.Availability),
+				strconv.Itoa(p.SoftAnswers),
+				strconv.Itoa(p.ServeErrors),
+				strconv.Itoa(p.DegradedLayers),
+				strconv.Itoa(p.Level),
+				strconv.Itoa(p.PatrolPasses),
+				strconv.FormatUint(p.RowsSpared, 10),
+				strconv.FormatUint(p.CellsReprogrammed, 10),
+				strconv.FormatUint(p.Tightens, 10),
+				strconv.FormatUint(p.Relaxes, 10),
+				strconv.FormatUint(p.Degrades, 10),
+			}
+		})
 }

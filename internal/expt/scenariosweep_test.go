@@ -127,4 +127,6 @@ func TestScenarioSweepRendering(t *testing.T) {
 	if want := len(points); lines != want {
 		t.Fatalf("csv rows = %d, want %d", lines, want)
 	}
+	checkGolden(t, "scenarios.txt", tbl.Bytes())
+	checkGolden(t, "scenarios.csv", csvBuf.Bytes())
 }

@@ -1,7 +1,6 @@
 package expt
 
 import (
-	"encoding/csv"
 	"fmt"
 	"io"
 	"strconv"
@@ -110,21 +109,18 @@ func RunScrubSweep(w Workload, cfg ScrubSweepConfig, prog Progress) (ScrubSweepR
 // runScrubArm runs one arm of the comparison: identical engine, identical
 // campaign, with or without a patrol pass after each step's damage.
 func runScrubArm(w Workload, cfg ScrubSweepConfig, scrubOn bool, band float64, prog Progress) ([]ScrubPoint, error) {
-	acfg := accel.DefaultConfig(cfg.Scheme)
-	acfg.Device = cfg.Device
-	if cfg.Retries > 0 {
-		acfg.Retries = cfg.Retries
-	}
-	acfg.Seed = cfg.Seed
+	evalCfg := EvalConfig{Device: cfg.Device, Scheme: cfg.Scheme, Retries: cfg.Retries,
+		Images: cfg.Images, Seed: cfg.Seed, Workers: cfg.Workers}
+	acfg := evalCfg.engineConfig()
 	if scrubOn {
 		acfg.SpareRows = cfg.SpareRows
 	}
 	if cfg.VerifyIters > 0 {
 		acfg.VerifyIters = cfg.VerifyIters
 	}
-	eng, err := accel.Map(w.Net, acfg)
+	eng, err := mapEngine(w, acfg)
 	if err != nil {
-		return nil, fmt.Errorf("expt: mapping %s under %s: %w", w.Name, cfg.Scheme.Name, err)
+		return nil, err
 	}
 	runner, err := fault.NewRunner(fault.LifetimeCampaign(cfg.Seed, eng.Layers(), cfg.Lifetime), eng)
 	if err != nil {
@@ -132,9 +128,8 @@ func runScrubArm(w Workload, cfg ScrubSweepConfig, scrubOn bool, band float64, p
 	}
 	var sc *scrub.Scrubber
 	if scrubOn {
-		sc = scrub.New(eng, scrub.Config{VerifyIters: cfg.VerifyIters, Seed: cfg.Seed})
+		sc = scrub.New(eng)
 	}
-	evalCfg := EvalConfig{Scheme: cfg.Scheme, Images: cfg.Images, Seed: cfg.Seed, Workers: cfg.Workers}
 	var pts []ScrubPoint
 	for step := 0; step <= cfg.Lifetime.Steps; step++ {
 		if step > 0 {
@@ -147,7 +142,7 @@ func runScrubArm(w Workload, cfg ScrubSweepConfig, scrubOn bool, band float64, p
 				}
 			}
 		}
-		cell := runEval(eng, w, evalCfg, cfg.Seed*100_000+uint64(step)*1_000_000_000)
+		cell := runEval(eng, w, evalCfg, stepStream(cfg.Seed, step))
 		stuck, drifted := countFaults(eng)
 		p := ScrubPoint{
 			Workload: w.Name, Scrub: scrubOn, Step: step,
@@ -222,29 +217,21 @@ func RenderScrub(w io.Writer, res ScrubSweepResult) {
 
 // WriteScrubCSV emits both arms' lifetime points as CSV.
 func WriteScrubCSV(w io.Writer, res ScrubSweepResult) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"workload", "scrub", "step", "stuck_cells", "drifted_cells",
+	return WriteCSV(w, []string{"workload", "scrub", "step", "stuck_cells", "drifted_cells",
 		"miss", "halfwidth95", "in_band", "rows_repaired", "rows_spared",
-		"rows_uncorrectable", "cells_reprogrammed", "verify_giveups"}); err != nil {
-		return err
-	}
-	for _, p := range res.Points {
-		rec := []string{
-			p.Workload, strconv.FormatBool(p.Scrub), strconv.Itoa(p.Step),
-			strconv.Itoa(p.StuckCells), strconv.Itoa(p.DriftedCells),
-			fmt.Sprintf("%.6f", p.Miss.Rate()),
-			fmt.Sprintf("%.6f", p.Miss.HalfWidth95()),
-			strconv.FormatBool(p.InBand),
-			strconv.FormatUint(p.Totals.RowsRepaired, 10),
-			strconv.FormatUint(p.Totals.RowsSpared, 10),
-			strconv.FormatUint(p.Totals.RowsUncorrectable, 10),
-			strconv.FormatUint(p.Totals.CellsReprogrammed, 10),
-			strconv.FormatUint(p.Totals.Verify.GaveUp, 10),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
+		"rows_uncorrectable", "cells_reprogrammed", "verify_giveups"}, res.Points,
+		func(p ScrubPoint) []string {
+			return []string{
+				p.Workload, strconv.FormatBool(p.Scrub), strconv.Itoa(p.Step),
+				strconv.Itoa(p.StuckCells), strconv.Itoa(p.DriftedCells),
+				fmt.Sprintf("%.6f", p.Miss.Rate()),
+				fmt.Sprintf("%.6f", p.Miss.HalfWidth95()),
+				strconv.FormatBool(p.InBand),
+				strconv.FormatUint(p.Totals.RowsRepaired, 10),
+				strconv.FormatUint(p.Totals.RowsSpared, 10),
+				strconv.FormatUint(p.Totals.RowsUncorrectable, 10),
+				strconv.FormatUint(p.Totals.CellsReprogrammed, 10),
+				strconv.FormatUint(p.Totals.Verify.GaveUp, 10),
+			}
+		})
 }

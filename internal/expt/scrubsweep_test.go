@@ -95,4 +95,6 @@ func TestScrubSweepRendering(t *testing.T) {
 	if want := len(res.Points); lines != want {
 		t.Fatalf("csv rows = %d, want %d", lines, want)
 	}
+	checkGolden(t, "scrub.txt", tbl.Bytes())
+	checkGolden(t, "scrub.csv", csvBuf.Bytes())
 }

@@ -34,16 +34,6 @@ const passSeedStride = uint64(1) << 40
 // noise, retry reseeds).
 const scrubSeedSalt = uint64(0x5c) << 48
 
-// Config parameterizes a Scrubber.
-type Config struct {
-	// VerifyIters bounds the closed-loop re-programming of each repaired
-	// cell (defaults to 5 when zero, matching accel.DefaultConfig).
-	VerifyIters int
-	// Seed drives the verify-comparator draws of repair programming. Passes
-	// are deterministic given (Seed, layer order, pass count).
-	Seed uint64
-}
-
 // Report is the outcome of one patrol pass over one layer.
 type Report struct {
 	Layer int
@@ -113,24 +103,34 @@ func (t *Totals) add(r Report) {
 // and remaps by the engine's per-layer write lock, which PatrolLayer holds
 // for the duration of a pass.
 type Scrubber struct {
-	eng    *accel.Engine
-	cfg    Config
-	order  []int
-	cursor int
-	pass   map[int]uint64
-	totals Totals
+	eng *accel.Engine
+	// verifyIters bounds the closed-loop re-programming of each repaired
+	// cell; seed drives its verify-comparator draws, so passes are
+	// deterministic given (seed, layer order, pass count). Both are the
+	// engine's own: every copy repairs under its own settings.
+	verifyIters int
+	seed        uint64
+	order       []int
+	cursor      int
+	pass        map[int]uint64
+	totals      Totals
 }
 
-// New builds a scrubber over the engine's mapped layers.
-func New(eng *accel.Engine, cfg Config) *Scrubber {
-	if cfg.VerifyIters <= 0 {
-		cfg.VerifyIters = 5
+// New builds a scrubber over the engine's mapped layers. Repairs program
+// under the engine's VerifyIters (5 when it is zero: the scrubber always
+// verifies, even over blind-written arrays) and draw from its Seed.
+func New(eng *accel.Engine) *Scrubber {
+	cfg := eng.Config()
+	iters := cfg.VerifyIters
+	if iters <= 0 {
+		iters = 5
 	}
 	return &Scrubber{
-		eng:   eng,
-		cfg:   cfg,
-		order: eng.Layers(),
-		pass:  make(map[int]uint64),
+		eng:         eng,
+		verifyIters: iters,
+		seed:        cfg.Seed,
+		order:       eng.Layers(),
+		pass:        make(map[int]uint64),
 	}
 }
 
@@ -173,7 +173,7 @@ func (s *Scrubber) PatrolAll() ([]Report, error) {
 func (s *Scrubber) PatrolLayer(layer int) (Report, error) {
 	s.pass[layer]++
 	rep := Report{Layer: layer, Pass: s.pass[layer]}
-	rng := stats.SubRNG(s.cfg.Seed, scrubSeedSalt^(uint64(layer)+s.pass[layer]*passSeedStride))
+	rng := stats.SubRNG(s.seed, scrubSeedSalt^(uint64(layer)+s.pass[layer]*passSeedStride))
 	err := s.eng.WithScrubTargets(layer, func(targets []accel.ScrubTarget) {
 		for _, tgt := range targets {
 			s.patrolArray(tgt, rng, &rep)
@@ -187,16 +187,16 @@ func (s *Scrubber) PatrolLayer(layer int) (Report, error) {
 }
 
 // Reprogram remaps one layer of eng onto spare arrays and verifies the new
-// arrays with one patrol pass under cfg: the repair cycle of a replica's
-// spatial failover and of a drained shard. Engine.Remap keeps the layer's
-// software-fallback flag, so a degraded or drained layer returns to
-// crossbars only on the ladder's or the operator's call (Rejoin), never as
-// a side effect of a repair.
-func Reprogram(eng *accel.Engine, layer int, cfg Config) (Report, error) {
+// arrays with one patrol pass under the engine's own settings: the repair
+// cycle of a replica's spatial failover and of a drained shard.
+// Engine.Remap keeps the layer's software-fallback flag, so a degraded or
+// drained layer returns to crossbars only on the ladder's or the
+// operator's call (Rejoin), never as a side effect of a repair.
+func Reprogram(eng *accel.Engine, layer int) (Report, error) {
 	if err := eng.Remap(layer); err != nil {
 		return Report{}, err
 	}
-	return New(eng, cfg).PatrolLayer(layer)
+	return New(eng).PatrolLayer(layer)
 }
 
 // patrolArray walks one coded group. The probe unit is a column: each
@@ -220,7 +220,7 @@ func (s *Scrubber) patrolArray(tgt accel.ScrubTarget, rng *rand.Rand, rep *Repor
 		// through the closed-loop path. Drifted cells heal; stuck cells
 		// accept the target but stay pinned (the verify loop gives up).
 		for _, r := range devRows {
-			pulses, ok := arr.ProgramVerify(r, c, arr.Programmed(r, c), s.cfg.VerifyIters, tgt.PulseFail, rng)
+			pulses, ok := arr.ProgramVerify(r, c, arr.Programmed(r, c), s.verifyIters, tgt.PulseFail, rng)
 			rep.Verify.Note(pulses, ok)
 			rep.CellsReprogrammed++
 		}
@@ -249,7 +249,7 @@ func (s *Scrubber) patrolArray(tgt accel.ScrubTarget, rng *rand.Rand, rep *Repor
 				continue
 			}
 			if arr.SpareRowsFree() > 0 {
-				tally, ok := arr.SpareRow(r, s.cfg.VerifyIters, tgt.PulseFail, rng)
+				tally, ok := arr.SpareRow(r, s.verifyIters, tgt.PulseFail, rng)
 				rep.Verify.Merge(tally)
 				if ok {
 					rep.RowsSpared++

@@ -73,7 +73,7 @@ func TestPatrolHealsDrift(t *testing.T) {
 		t.Fatal("drift injection moved nothing")
 	}
 
-	sc := New(eng, Config{Seed: 9})
+	sc := New(eng)
 	rep, err := sc.PatrolLayer(0)
 	if err != nil {
 		t.Fatal(err)
@@ -130,7 +130,7 @@ func TestPatrolSparesUncorrectableRows(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sc := New(eng, Config{Seed: 9})
+	sc := New(eng)
 	rep, err := sc.PatrolLayer(0)
 	if err != nil {
 		t.Fatal(err)
@@ -175,7 +175,7 @@ func TestPatrolExhaustsSparePool(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	sc := New(eng, Config{Seed: 9})
+	sc := New(eng)
 	rep, err := sc.PatrolLayer(0)
 	if err != nil {
 		t.Fatal(err)
@@ -188,7 +188,7 @@ func TestPatrolExhaustsSparePool(t *testing.T) {
 // TestPatrolCleanEngineIsNoOp: patrolling healthy arrays touches nothing.
 func TestPatrolCleanEngineIsNoOp(t *testing.T) {
 	eng, _ := testEngine(t, 2)
-	sc := New(eng, Config{Seed: 9})
+	sc := New(eng)
 	reps, err := sc.PatrolAll()
 	if err != nil {
 		t.Fatal(err)
@@ -210,7 +210,7 @@ func TestNextRotatesDeterministically(t *testing.T) {
 		eng, _ := testEngine(t, 2)
 		driftLayer(t, eng, 0)
 		driftLayer(t, eng, 2)
-		sc := New(eng, Config{Seed: 9})
+		sc := New(eng)
 		var reps []Report
 		for i := 0; i < 4; i++ {
 			rep, err := sc.Next()

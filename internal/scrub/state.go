@@ -25,7 +25,7 @@ type State struct {
 // Snapshot captures the scrubber's durable state. Like the patrol methods
 // it must be called from the goroutine driving the scrubber.
 func (s *Scrubber) Snapshot() State {
-	st := State{Seed: s.cfg.Seed, Cursor: s.cursor, Totals: s.totals}
+	st := State{Seed: s.seed, Cursor: s.cursor, Totals: s.totals}
 	if len(s.pass) > 0 {
 		st.Passes = make([]LayerPassState, 0, len(s.pass))
 		for layer, n := range s.pass {
@@ -39,8 +39,8 @@ func (s *Scrubber) Snapshot() State {
 // CheckRestore validates a snapshot against this scrubber without touching
 // any state; a nil error guarantees Restore will succeed.
 func (s *Scrubber) CheckRestore(st State) error {
-	if st.Seed != s.cfg.Seed {
-		return fmt.Errorf("scrub: snapshot seed %d does not match scrubber seed %d", st.Seed, s.cfg.Seed)
+	if st.Seed != s.seed {
+		return fmt.Errorf("scrub: snapshot seed %d does not match scrubber seed %d", st.Seed, s.seed)
 	}
 	if len(s.order) == 0 {
 		if st.Cursor != 0 {

@@ -165,8 +165,7 @@ func (s *Server) applyShardAction(sh *shard.Shard, action string) error {
 		if sh.State() == shard.Serving {
 			return fmt.Errorf("shard %d is serving — drain it before repairing", sh.ID())
 		}
-		eng := sh.Set().Engine(0)
-		dirty, err := sh.Repair(eng.Config().VerifyIters, eng.Config().Seed)
+		dirty, err := sh.Repair()
 		if err != nil {
 			return err
 		}

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/persist"
-	"repro/internal/predict"
 )
 
 // ControllerConfig wires the closed-loop protection controller: a
@@ -349,17 +348,7 @@ func (c *controller) predictAndPreempt() string {
 	if !s.cfg.Plan.Enabled || s.cfg.Plan.Calibration == nil || s.rec == nil {
 		return ""
 	}
-	pcfg := predict.PlannerConfig{
-		Base:        s.eng.Config(),
-		SLO:         s.cfg.Plan.SLO,
-		MaxReplicas: s.cfg.Plan.MaxReplicas,
-	}
-	rates := s.rec.mon.Rates()
-	pcfg.Measured = make(map[int]predict.MeasuredRates, len(rates))
-	for _, lr := range rates {
-		pcfg.Measured[lr.Layer] = predict.MeasuredRates{Detected: lr.Detected, Reads: lr.Reads}
-	}
-	plan, err := predict.BuildPlan(s.eng.Network(), s.cfg.Plan.Calibration, pcfg)
+	plan, rates, err := s.livePlan()
 	if err != nil || plan.Satisfied {
 		return ""
 	}

@@ -154,13 +154,6 @@ func (m *Metrics) observe(outcome string, images int, dur time.Duration, st acce
 	m.ecc.Merge(st)
 }
 
-// ECCSnapshot returns the cumulative ECU tallies.
-func (m *Metrics) ECCSnapshot() accel.Stats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.ecc
-}
-
 // GaugeView carries the live values a scrape samples from the scheduler
 // and engine (they belong there, not in the accumulator).
 type GaugeView struct {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 
+	"repro/internal/fault"
 	"repro/internal/predict"
 )
 
@@ -77,6 +78,31 @@ type planResponse struct {
 	Layers          []planLayerJSON `json:"layers"`
 }
 
+// livePlan runs the protection planner against the live engine: the
+// deployed configuration under the plan SLO, recalibrated by the per-layer
+// rates the health monitor has measured so far (none without a monitor),
+// which it returns alongside the plan. GET /plan and the controller's
+// preemptive check both plan through here.
+func (s *Scheduler) livePlan() (*predict.Plan, []fault.LayerRates, error) {
+	pcfg := predict.PlannerConfig{
+		Base:        s.eng.Config(),
+		SLO:         s.cfg.Plan.SLO,
+		MaxReplicas: s.cfg.Plan.MaxReplicas,
+	}
+	var rates []fault.LayerRates
+	if s.rec != nil {
+		rates = s.rec.mon.Rates()
+	}
+	if len(rates) > 0 {
+		pcfg.Measured = make(map[int]predict.MeasuredRates, len(rates))
+		for _, lr := range rates {
+			pcfg.Measured[lr.Layer] = predict.MeasuredRates{Detected: lr.Detected, Reads: lr.Reads}
+		}
+	}
+	plan, err := predict.BuildPlan(s.eng.Network(), s.cfg.Plan.Calibration, pcfg)
+	return plan, rates, err
+}
+
 // handlePlan runs the protection planner against the live engine: analytic
 // rates recalibrated by whatever the health monitor has measured so far.
 func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
@@ -84,36 +110,25 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "GET only", http.StatusMethodNotAllowed)
 		return
 	}
-	eng := s.sched.Engine()
-	pcfg := predict.PlannerConfig{
-		Base:        eng.Config(),
-		SLO:         s.plan.SLO,
-		MaxReplicas: s.plan.MaxReplicas,
-	}
-	measured := 0
-	if mon := s.sched.Monitor(); mon != nil {
-		rates := mon.Rates()
-		if len(rates) > 0 {
-			pcfg.Measured = make(map[int]predict.MeasuredRates, len(rates))
-			for _, lr := range rates {
-				pcfg.Measured[lr.Layer] = predict.MeasuredRates{Detected: lr.Detected, Reads: lr.Reads}
-				if lr.Reads > 0 {
-					measured++
-				}
-			}
-		}
-	}
-	plan, err := predict.BuildPlan(eng.Network(), s.plan.Calibration, pcfg)
+	plan, rates, err := s.sched.livePlan()
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
+	measured := 0
+	for _, lr := range rates {
+		if lr.Reads > 0 {
+			measured++
+		}
+	}
+	eng := s.sched.Engine()
+	slo := s.sched.cfg.Plan.SLO
 	resp := planResponse{
 		Workload:        s.model.Name,
 		Device:          eng.Config().DeviceName,
 		Deployed:        eng.Config().Scheme.Name,
-		SLOMaxMiss:      s.plan.SLO.MaxMiss,
-		SLOAvailability: s.plan.SLO.MinAvailability,
+		SLOMaxMiss:      slo.MaxMiss,
+		SLOAvailability: slo.MinAvailability,
 		Satisfied:       plan.Satisfied,
 		PredictedMiss:   plan.Predicted.Miss,
 		LogitSigma:      plan.Predicted.LogitSigma,

@@ -298,7 +298,7 @@ func (s *Scheduler) repairSetLayer(set *replica.Set, layer int, openOnly bool) i
 		if err := set.Detach(r); err != nil {
 			continue // last attached replica: someone must keep serving
 		}
-		rep, err := scrub.Reprogram(eng, layer, engineScrub(eng))
+		rep, err := scrub.Reprogram(eng, layer)
 		// Rejoin either way: a copy that failed verification re-earns (or
 		// re-loses) trust from fresh evidence, and its breaker steers
 		// traffic away again if the damage persists.

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/accel"
 	"repro/internal/persist"
 	"repro/internal/replica"
 	"repro/internal/scrub"
@@ -110,7 +109,7 @@ func newPatroller(sched *Scheduler, cfg ScrubConfig) *patroller {
 	// rotation patrols every copy of every shard.
 	for _, set := range sched.ReplicaSets() {
 		for r := 0; r < set.Size(); r++ {
-			p.scs = append(p.scs, scrub.New(set.Engine(r), engineScrub(set.Engine(r))))
+			p.scs = append(p.scs, scrub.New(set.Engine(r)))
 			p.sets = append(p.sets, set)
 			p.reps = append(p.reps, r)
 			p.detachable = p.detachable || set.Size() > 1
@@ -118,12 +117,6 @@ func newPatroller(sched *Scheduler, cfg ScrubConfig) *patroller {
 	}
 	p.layers = sched.pool.Layers()
 	return p
-}
-
-// engineScrub is the repair-programming configuration of one copy: its
-// engine's own verify bound and seed.
-func engineScrub(eng *accel.Engine) scrub.Config {
-	return scrub.Config{VerifyIters: eng.Config().VerifyIters, Seed: eng.Config().Seed}
 }
 
 // interval returns the live patrol cadence.

@@ -38,7 +38,6 @@ type Server struct {
 	inLen   int
 	mux     *http.ServeMux
 	ready   atomic.Bool
-	plan    PlanConfig
 	reg     *registry
 }
 
@@ -56,7 +55,7 @@ func NewServer(eng *accel.Engine, model Model, cfg Config) (*Server, error) {
 	if len(model.InShape) == 0 || inLen <= 0 {
 		return nil, fmt.Errorf("serve: model %q has no input shape", model.Name)
 	}
-	s := &Server{sched: sched, metrics: newMetrics(), model: model, inLen: inLen, mux: http.NewServeMux(), plan: cfg.Plan}
+	s := &Server{sched: sched, metrics: newMetrics(), model: model, inLen: inLen, mux: http.NewServeMux()}
 	s.reg = newRegistry(cfg, cfg.Admin.Loader, model.Name, &modelEntry{model: model, sched: sched, inLen: inLen})
 	s.mux.HandleFunc("/v1/predict", s.handlePredict)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)

@@ -8,6 +8,7 @@ import (
 	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -17,6 +18,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/nn"
 	"repro/internal/replica"
+	"repro/internal/scrub"
 )
 
 // shardTestEngine maps a four-MVM-layer network — enough mapped layers to
@@ -426,5 +428,60 @@ func TestShardRestartRestoresDrainState(t *testing.T) {
 	}
 	if got := runB.ShardPool().Shard(0).State().String(); got != "serving" {
 		t.Fatalf("restored shard 0 state %q, want serving", got)
+	}
+}
+
+// TestShardRepairKeepsCopySeeds: the operator repair of a drained R=2 shard
+// re-programs every copy under its own engine's verify bound and seed, so
+// copy 1 ends bit for bit where a repair under copy 1's own seed puts it —
+// it never replays copy 0's verify draws, and the copies keep independent
+// error processes.
+func TestShardRepairKeepsCopySeeds(t *testing.T) {
+	build := func() *Server {
+		net := shardTestNet()
+		// Map-time stuck cells and spare rows give the verify pass work
+		// whose outcome follows the seed.
+		acfg := accel.DefaultConfig(accel.SchemeABN(8))
+		acfg.Device.BitsPerCell = 2
+		acfg.Device.FailureRate = 0.01
+		acfg.SpareRows = 4
+		eng, err := accel.Map(net, acfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := shardTestConfig(2)
+		cfg.Admin = AdminConfig{Enabled: true}
+		srv, err := NewServer(eng, Model{Name: net.Name, InShape: net.InShape}, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.Shutdown(context.Background()) })
+		if rec := postAdmin(t, srv, "/admin/shards", `{"action":"drain","shard":0}`); rec.Code != http.StatusOK {
+			t.Fatalf("drain: %d (%s)", rec.Code, rec.Body)
+		}
+		return srv
+	}
+	srv, twin := build(), build()
+	if rec := postAdmin(t, srv, "/admin/shards", `{"action":"repair","shard":0}`); rec.Code != http.StatusOK {
+		t.Fatalf("repair: %d (%s)", rec.Code, rec.Body)
+	}
+	// The twin repairs each copy directly, under that copy's own engine.
+	sh := twin.Scheduler().pool.Shard(0)
+	set := sh.Set()
+	for r := 0; r < set.Size(); r++ {
+		for _, li := range sh.Layers() {
+			if _, err := scrub.Reprogram(set.Engine(r), li); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	got := srv.Scheduler().pool.Shard(0).Set()
+	if got.Engine(1).Config().Seed == got.Engine(0).Config().Seed {
+		t.Fatal("copies share one engine seed")
+	}
+	for r := 0; r < set.Size(); r++ {
+		if !reflect.DeepEqual(got.Engine(r).Snapshot(), set.Engine(r).Snapshot()) {
+			t.Errorf("copy %d after the admin repair differs from a repair under its own seed", r)
+		}
 	}
 }

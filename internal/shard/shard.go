@@ -63,16 +63,6 @@ func (sh *Shard) ID() int { return sh.id }
 // Layers returns the shard's owned layer indices in ascending order.
 func (sh *Shard) Layers() []int { return append([]int(nil), sh.layers...) }
 
-// Owns reports whether the shard owns a layer.
-func (sh *Shard) Owns(layer int) bool {
-	for _, li := range sh.layers {
-		if li == layer {
-			return true
-		}
-	}
-	return false
-}
-
 // Set returns the shard's replica set.
 func (sh *Shard) Set() *replica.Set { return sh.set }
 
@@ -98,19 +88,19 @@ func (sh *Shard) Drain() error {
 }
 
 // Repair re-programs every layer of the shard onto spare arrays, replica by
-// replica, and patrol-verifies each remap (scrub.Reprogram with verifyIters
-// programming iterations under the given seed). Call it on a drained shard:
-// traffic keeps answering from the software path, which the repair leaves
-// in place until Rejoin, so the reprogram stalls nobody. It returns the
+// replica, and patrol-verifies each remap (scrub.Reprogram, each copy under
+// its own engine's verify bound and seed, so copies keep independent error
+// processes). Call it on a drained shard: traffic keeps answering from the
+// software path, which the repair leaves in place until Rejoin, so the
+// reprogram stalls nobody. It returns the
 // number of layers whose verify still reports uncorrectable rows (0 = the
 // shard is clean and safe to Rejoin).
-func (sh *Shard) Repair(verifyIters int, seed uint64) (dirty int, err error) {
+func (sh *Shard) Repair() (dirty int, err error) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	cfg := scrub.Config{VerifyIters: verifyIters, Seed: seed}
 	for r := 0; r < sh.set.Size(); r++ {
 		for _, li := range sh.layers {
-			rep, err := scrub.Reprogram(sh.set.Engine(r), li, cfg)
+			rep, err := scrub.Reprogram(sh.set.Engine(r), li)
 			if err != nil {
 				return dirty, fmt.Errorf("shard %d: repairing layer %d replica %d: %w", sh.id, li, r, err)
 			}

@@ -160,7 +160,7 @@ func TestDrainRepairRejoin(t *testing.T) {
 	if dl := pool.Shard(1).Status().DegradedLayers; len(dl) != 0 {
 		t.Fatalf("sibling degraded layers = %v", dl)
 	}
-	dirty, err := sh.Repair(3, 99)
+	dirty, err := sh.Repair()
 	if err != nil {
 		t.Fatal(err)
 	}
