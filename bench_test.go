@@ -215,6 +215,40 @@ func BenchmarkMapMatrixABN9(b *testing.B) {
 	}
 }
 
+// BenchmarkMapLayer maps one layer at its real shape with seeded random
+// weights, 2 bits per cell and 0.1 % stuck cells (the sweep's setting):
+// MLP1.L1 (784x500) is 441 ABN-9 groups, many mapping windows at any
+// GOMAXPROCS, so the parallel phase and the serial verify pass both show;
+// CNN1.L3 (16x150) is a couple of windows. BenchmarkMapMatrixABN9 is a
+// single group and never reaches the workers.
+func BenchmarkMapLayer(b *testing.B) {
+	for _, layer := range []struct {
+		name    string
+		out, in int
+	}{{"MLP1.L1", 500, 784}, {"CNN1.L3", 16, 150}} {
+		for _, s := range []accel.Scheme{accel.SchemeNoECC(), accel.SchemeABN(9)} {
+			b.Run(fmt.Sprintf("layer=%s/scheme=%s", layer.name, s.Name), func(b *testing.B) {
+				rng := rand.New(rand.NewPCG(15, 15))
+				W := make([]float64, layer.out*layer.in)
+				for i := range W {
+					W[i] = rng.NormFloat64() * 0.05
+				}
+				cfg := accel.DefaultConfig(s)
+				cfg.Device.BitsPerCell = 2
+				cfg.Device.FailureRate = 0.001
+				weightAt := func(r, c int) float64 { return W[r*layer.in+c] }
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := accel.MapMatrix(cfg, layer.out, layer.in, weightAt, 3); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
 // --- Per-figure/table benches (reduced-size instances) --------------------
 
 // benchWorkload is a small trained model reused by the experiment benches.

@@ -219,41 +219,49 @@ func MapMatrix(cfg Config, outDim, inDim int, weightAt func(r, c int) float64, s
 	}
 	mp := &mapPass{m: m, biased: biased,
 		rng: stats.SubRNG(cfg.Seed, seed),
-		// The verify loop draws pulse misses from its own stream so
+		// The verify pass draws pulse misses from its own stream so
 		// enabling closed-loop programming does not perturb the
 		// fault-injection draws — recorded experiment seeds keep
 		// reproducing.
-		vrng:        stats.SubRNG(cfg.Seed, seed^verifySeedSalt),
-		staticCache: map[int]*core.Code{},
+		vrng: stats.FastSub(cfg.Seed, seed^verifySeedSalt),
 	}
 	// Groups go through three phases in windows: draw (rng, serial, group
-	// order), A search (pure, fanned across GOMAXPROCS), program (vrng,
-	// serial, group order). Each stream is consumed exactly as a one-group-
-	// at-a-time pass would consume it, so the window size and the worker
-	// count cannot move a draw; bounding the window bounds the plans held
-	// at once.
-	mp.startSearch(len(places))
-	defer mp.stopSearch()
+	// order), build (packing, search, encoding, slicing, the array write,
+	// fault tables and the verify pass's pure half; fanned across
+	// GOMAXPROCS), verify (vrng, serial, group order).
+	// Window k's verify pass runs on the calling goroutine while the other
+	// workers build window k+1. Each stream is consumed exactly as a
+	// one-group-at-a-time pass would consume it, so the window size and the
+	// worker count cannot move a draw; bounding the window bounds the plans
+	// held at once.
+	mp.startWorkers(len(places))
+	defer mp.stopWorkers()
 	window := mapWindowPerProc * runtime.GOMAXPROCS(0)
-	plans := make([]groupPlan, min(window, len(places)))
-	for lo := 0; lo < len(places); lo += window {
-		batch := plans[:min(window, len(places)-lo)]
+	n := min(window, len(places))
+	// Two windows of plans: window k's verify pass draws from its plans
+	// while window k+1 builds in the other half.
+	plans := make([]groupPlan, 2*n)
+	var prev []groupPlan
+	for k, lo := 0, 0; lo < len(places); k, lo = k+1, lo+window {
+		batch := plans[k%2*n:][:min(window, len(places)-lo)]
 		for i := range batch {
 			if err := mp.draw(&batch[i], places[lo+i]); err != nil {
 				return nil, err
 			}
 		}
-		mp.searchAll(batch)
+		mp.buildAll(batch, prev)
 		for i := range batch {
-			g, err := mp.program(&batch[i])
-			if err != nil {
-				return nil, err
+			p := &batch[i]
+			if p.err != nil {
+				return nil, p.err
 			}
 			ch := m.chunks[places[lo+i].chunk]
-			ch.groups = append(ch.groups, g)
-			m.PhysicalRows += g.arr.Rows
+			ch.groups = append(ch.groups, p.g)
+			m.PhysicalRows += p.g.arr.Rows
 		}
+		prev = batch
 	}
+	mp.verify(prev)
 	return m, nil
 }
 
@@ -286,27 +294,28 @@ type groupPlace struct {
 	gLo, gHi int
 }
 
-// mapPass is one MapMatrix call's state across the draw, search, and
-// program phases.
+// mapPass is one MapMatrix call's state across the draw, build, and
+// verify phases.
 type mapPass struct {
 	m           *MappedMatrix
 	biased      []uint64
-	rng, vrng   *rand.Rand
+	rng         *rand.Rand
+	vrng        *stats.FastRand
 	staticCache map[int]*core.Code
-	ops         []uint64
-	// searchers holds one A-search worker's reusable buffers each, grown
-	// on first use; feeds hands each window to workers 1..n-1, searched
-	// counts their shares of the window still running, and exited the
-	// workers not yet returned.
-	searchers []abnSearcher
-	feeds     []chan []groupPlan
-	searched  sync.WaitGroup
-	exited    sync.WaitGroup
+	// workers holds one build worker's reusable buffers each, grown on
+	// first use; feeds hands each window to workers 1..n-1, built counts
+	// their shares of the window still running, and exited the workers
+	// not yet returned.
+	workers []mapWorker
+	feeds   []chan []groupPlan
+	built   sync.WaitGroup
+	exited  sync.WaitGroup
 }
 
-// groupPlan is one group between its draw and program phases: the packed
-// operands, the row geometry, the characterized fault populations drawn
-// for its cells, and (after the search) its code.
+// groupPlan is one group between its draw and build phases: the row
+// geometry and the characterized fault populations drawn for its cells;
+// the build phase packs its operands and fills in its code, its group (or
+// err) and the pure half of its verify pass.
 type groupPlan struct {
 	outRows      []int
 	colLo, colHi int
@@ -316,15 +325,19 @@ type groupPlan struct {
 	stuck        []noise.StuckCell
 	giant        []noise.GiantCell
 	code         *core.Code // static code, or the searched one for ABN; nil for NoECC
+	g            *group
+	err          error
+	verify       crossbar.VerifyPass // reused across windows
 }
 
-// draw runs a group's draw phase: pack the lane operands, size the row
-// count, and draw its stuck and giant-RTN-prone cells and their
-// characterization from the fault-injection stream.
+// draw runs a group's draw phase: size the row count and draw its stuck
+// and giant-RTN-prone cells and their characterization from the
+// fault-injection stream.
 func (mp *mapPass) draw(p *groupPlan, at groupPlace) error {
 	m := mp.m
 	ch := m.chunks[at.chunk]
-	*p = groupPlan{colLo: ch.colLo, colHi: ch.colHi, packed: p.packed[:0],
+	*p = groupPlan{colLo: ch.colLo, colHi: ch.colHi, verify: p.verify,
+		packed:  slices.Grow(p.packed[:0], ch.colHi-ch.colLo),
 		outRows: make([]int, 0, at.gHi-at.gLo)}
 	for r := at.gLo; r < at.gHi; r++ {
 		p.outRows = append(p.outRows, r)
@@ -333,25 +346,15 @@ func (mp *mapPass) draw(p *groupPlan, at groupPlace) error {
 	p.layout = m.layoutFor(len(p.outRows), cols)
 	cell := m.cfg.Device.BitsPerCell
 
-	// Pack the lane operands per column.
-	mp.ops = slices.Grow(mp.ops[:0], len(p.outRows))[:len(p.outRows)]
-	for j := 0; j < cols; j++ {
-		for i, r := range p.outRows {
-			mp.ops[i] = mp.biased[r*m.inDim+p.colLo+j]
-		}
-		w, err := p.layout.Pack(mp.ops)
-		if err != nil {
-			return err
-		}
-		p.packed = append(p.packed, w)
-	}
-
 	// Determine the check budget and row count.
 	var checkBits int
 	switch m.cfg.Scheme.Kind {
 	case KindNone:
 		checkBits = 0
 	case KindStatic:
+		if mp.staticCache == nil {
+			mp.staticCache = map[int]*core.Code{}
+		}
 		c, err := staticCodeFor(mp.staticCache, p.layout, cell, m.cfg.Scheme.B)
 		if err != nil {
 			return err
@@ -388,16 +391,13 @@ func (mp *mapPass) draw(p *groupPlan, at groupPlace) error {
 	return nil
 }
 
-// startSearch starts the A-search workers once per MapMatrix call, up to
+// startWorkers starts the build workers once per MapMatrix call, up to
 // GOMAXPROCS of them. Worker 0 is the calling goroutine; workers 1..n-1
 // wait for each window on their own feed, so a map starts the same
 // goroutines however many windows it runs.
-func (mp *mapPass) startSearch(groups int) {
-	if mp.m.cfg.Scheme.Kind != KindABN {
-		return
-	}
+func (mp *mapPass) startWorkers(groups int) {
 	workers := max(1, min(groups, runtime.GOMAXPROCS(0)))
-	mp.searchers = make([]abnSearcher, workers)
+	mp.workers = make([]mapWorker, workers)
 	mp.feeds = make([]chan []groupPlan, workers-1)
 	for i := range mp.feeds {
 		mp.feeds[i] = make(chan []groupPlan, 1)
@@ -405,73 +405,123 @@ func (mp *mapPass) startSearch(groups int) {
 		go func(w int, feed <-chan []groupPlan) {
 			defer mp.exited.Done()
 			for batch := range feed {
-				mp.searchStride(w, batch)
-				mp.searched.Done()
+				kernelWorkers.Add(1)
+				mp.buildStride(w, batch)
+				kernelWorkers.Add(-1)
+				mp.built.Done()
 			}
 		}(i+1, mp.feeds[i])
 	}
 }
 
-// stopSearch ends the workers startSearch started and waits for them to
+// stopWorkers ends the workers startWorkers started and waits for them to
 // return, so the next map reuses their goroutine records instead of racing
 // their exit and allocating new ones; at a given GOMAXPROCS a map then
 // allocates the same count every run.
-func (mp *mapPass) stopSearch() {
+func (mp *mapPass) stopWorkers() {
 	for _, feed := range mp.feeds {
 		close(feed)
 	}
 	mp.exited.Wait()
 }
 
-// searchAll runs the A search of every plan under an ABN scheme and
-// returns once all of them are done. The search is pure, so its results
-// do not depend on which worker ran it or when; the fixed stride also
-// fixes which groups grow each worker's buffers.
-func (mp *mapPass) searchAll(batch []groupPlan) {
-	if mp.m.cfg.Scheme.Kind != KindABN {
-		return
-	}
-	mp.searched.Add(len(mp.feeds))
+// buildAll builds every plan of a window and returns once all of them are
+// done. The calling goroutine first runs the verify pass of prev, the
+// previous window, and then takes its own share. A build is pure, so its
+// result does not depend on which worker ran it or when; the fixed stride
+// also fixes which groups grow each worker's buffers.
+func (mp *mapPass) buildAll(batch, prev []groupPlan) {
+	mp.built.Add(len(mp.feeds))
 	for _, feed := range mp.feeds {
 		feed <- batch
 	}
-	mp.searchStride(0, batch)
-	mp.searched.Wait()
-}
-
-// searchStride runs worker w's share of a window: groups w, w+workers, ...
-func (mp *mapPass) searchStride(w int, batch []groupPlan) {
 	kernelWorkers.Add(1)
-	defer kernelWorkers.Add(-1)
-	for i := w; i < len(batch); i += len(mp.searchers) {
-		batch[i].code = mp.searchers[w].search(mp.m, &batch[i])
+	mp.verify(prev)
+	mp.buildStride(0, batch)
+	kernelWorkers.Add(-1)
+	mp.built.Wait()
+}
+
+// buildStride runs worker w's share of a window: groups w, w+workers, ...
+func (mp *mapPass) buildStride(w int, batch []groupPlan) {
+	for i := w; i < len(batch); i += len(mp.workers) {
+		p := &batch[i]
+		p.g, p.err = mp.workers[w].build(mp.m, mp.biased, p)
 	}
 }
 
-// program runs a group's program phase: write the encoded operands into a
-// fresh array (drawing verify misses from the verify stream) and precompute
-// the read-time effect of its characterized faults.
-func (mp *mapPass) program(p *groupPlan) (*group, error) {
+// verify runs the draw half of the verify pass of each plan in group
+// order, drawing pulse misses from the verify stream. The cells are
+// already written: a verified write lands the level a blind write does, so
+// vrng decides only the tally.
+func (mp *mapPass) verify(plans []groupPlan) {
 	m := mp.m
-	cols := p.colHi - p.colLo
-	cell := m.cfg.Device.BitsPerCell
-	mult := uint64(1)
-	if p.code != nil {
-		mult = p.code.M()
+	if m.cfg.VerifyIters <= 0 {
+		return
 	}
-	arr := crossbar.NewArrayWithSpares(p.nRows, cols, cell, m.cfg.SpareRows)
-	for j, w := range p.packed {
-		enc, ok := w.MulU64(mult)
-		if !ok {
-			return nil, fmt.Errorf("accel: encoding overflow in group")
+	for i := range plans {
+		plans[i].verify.Draw(m.cfg.VerifyIters, mp.vrng, &m.verify)
+	}
+}
+
+// mapWorker is one build worker's scratch, reused across candidate A
+// values and groups so a build allocates little beyond the array and the
+// tables it keeps.
+type mapWorker struct {
+	ops []uint64 // one column's lane operands
+	// slab backs levels and best: [col*nRows+row] cell levels under the
+	// candidate A being tried and under the best one so far.
+	slab, levels, best []uint8
+	hist               []int // [row*numLevels+level] cell count under the candidate A
+	rowProbs           []noise.StepProbs
+	mags               [][]float64        // per row: characterized giant magnitudes
+	extra              [][]core.ExtraStep // per row: registered extra steps
+	spec               core.DataAwareSpec
+}
+
+// build runs a group's build phase: pack its lane operands, pick its code
+// (the A search under ABN), encode and slice them, write them into a fresh
+// array, and precompute the read-time effect of its characterized faults.
+// It reads the plan, the biased weights and the matrix's read-only sampler
+// and touches no RNG.
+func (w *mapWorker) build(m *MappedMatrix, biased []uint64, p *groupPlan) (*group, error) {
+	// Pack the lane operands per column.
+	cols := p.colHi - p.colLo
+	w.ops = slices.Grow(w.ops[:0], len(p.outRows))[:len(p.outRows)]
+	for j := 0; j < cols; j++ {
+		for i, r := range p.outRows {
+			w.ops[i] = biased[r*m.inDim+p.colLo+j]
 		}
-		if m.cfg.VerifyIters > 0 {
-			if err := arr.ProgramColumnVerify(j, enc, m.cfg.VerifyIters, m.pulseFail, mp.vrng, &m.verify); err != nil {
-				return nil, err
-			}
-		} else if err := arr.ProgramColumn(j, enc); err != nil {
+		word, err := p.layout.Pack(w.ops)
+		if err != nil {
 			return nil, err
 		}
+		p.packed = append(p.packed, word)
+	}
+
+	n := cols * p.nRows
+	w.slab = slices.Grow(w.slab[:0], 2*n)[:2*n]
+	w.levels, w.best = w.slab[:n:n], w.slab[n:]
+	if m.cfg.Scheme.Kind == KindABN {
+		p.code = w.search(m, p)
+	}
+	if p.code == nil || m.cfg.Scheme.Kind != KindABN {
+		// The search leaves its winner's levels in best; every other
+		// code, and an ABN group no candidate A fits, is encoded here.
+		mult := uint64(1)
+		if p.code != nil {
+			mult = p.code.M()
+		}
+		if err := encodeInto(w.best, p.packed, mult, m.cfg.Device.BitsPerCell, p.nRows); err != nil {
+			return nil, err
+		}
+	}
+	arr := crossbar.NewArrayWithSpares(p.nRows, cols, m.cfg.Device.BitsPerCell, m.cfg.SpareRows)
+	if err := arr.ProgramLevels(w.best); err != nil {
+		return nil, err
+	}
+	if m.cfg.VerifyIters > 0 {
+		p.verify.Prepare(w.best, m.pulseFail)
 	}
 
 	g := &group{arr: arr, code: p.code, layout: p.layout, outRows: p.outRows,
@@ -492,24 +542,27 @@ func (mp *mapPass) program(p *groupPlan) (*group, error) {
 	return g, nil
 }
 
-// abnSearcher is one A-search worker's scratch, reused across candidate A
-// values and groups so the search allocates little beyond the tables it
-// builds.
-type abnSearcher struct {
-	hist     []int   // [row*numLevels+level] cell count under the candidate A
-	levels   []uint8 // [col*nRows+row] cell level under the candidate A
-	rowProbs []noise.StepProbs
-	mags     [][]float64        // per row: characterized giant magnitudes
-	extra    [][]core.ExtraStep // per row: registered extra steps
-	spec     core.DataAwareSpec
+// encodeInto multiplies each packed column word by mult and slices it into
+// dst's column (column j at dst[j*nRows:(j+1)*nRows]).
+func encodeInto(dst []uint8, packed []core.Word, mult uint64, cell, nRows int) error {
+	for j, w := range packed {
+		enc, ok := w.MulU64(mult)
+		if !ok {
+			return fmt.Errorf("accel: encoding overflow in group")
+		}
+		if _, err := crossbar.SliceLevelsInto(dst[j*nRows:(j+1)*nRows], enc, cell, nRows); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // search runs the per-array A search of Section V-B4: for each candidate
 // A the group is (virtually) encoded, the per-row worst-case error
 // probabilities derived from the resulting cell states, and the data-aware
-// table built; the A covering the most error probability wins. It reads
-// the plan and the matrix's sampler and touches no RNG.
-func (s *abnSearcher) search(m *MappedMatrix, p *groupPlan) *core.Code {
+// table built; the A covering the most error probability wins, and its
+// cell levels are left in w.best.
+func (w *mapWorker) search(m *MappedMatrix, p *groupPlan) *core.Code {
 	b := m.cfg.Scheme.B
 	if b == 0 {
 		b = 1
@@ -523,12 +576,11 @@ func (s *abnSearcher) search(m *MappedMatrix, p *groupPlan) *core.Code {
 	cell := m.cfg.Device.BitsPerCell
 	numLevels := 1 << cell
 	nRows := p.nRows
-	s.hist = slices.Grow(s.hist[:0], nRows*numLevels)[:nRows*numLevels]
-	s.levels = slices.Grow(s.levels[:0], len(p.packed)*nRows)[:len(p.packed)*nRows]
-	s.rowProbs = slices.Grow(s.rowProbs[:0], nRows)[:nRows]
-	for len(s.mags) < nRows {
-		s.mags = append(s.mags, nil)
-		s.extra = append(s.extra, nil)
+	w.hist = slices.Grow(w.hist[:0], nRows*numLevels)[:nRows*numLevels]
+	w.rowProbs = slices.Grow(w.rowProbs[:0], nRows)[:nRows]
+	for len(w.mags) < nRows {
+		w.mags = append(w.mags, nil)
+		w.extra = append(w.extra, nil)
 	}
 	flicker := m.cfg.Device.GiantFlickerProb
 
@@ -536,32 +588,21 @@ func (s *abnSearcher) search(m *MappedMatrix, p *groupPlan) *core.Code {
 	bestCovered := -1.0
 	for _, a := range candidates {
 		// Virtual encode: per-row level histograms under this A.
-		clear(s.hist)
-		ok := true
-		for j, w := range p.packed {
-			enc, fits := w.MulU64(a * b)
-			if !fits {
-				ok = false
-				break
-			}
-			lv, err := crossbar.SliceLevelsInto(s.levels[j*nRows:(j+1)*nRows], enc, cell, nRows)
-			if err != nil {
-				ok = false
-				break
-			}
-			for r, l := range lv {
-				s.hist[r*numLevels+int(l)]++
-			}
-		}
-		if !ok {
+		if encodeInto(w.levels, p.packed, a*b, cell, nRows) != nil {
 			continue
+		}
+		clear(w.hist)
+		for j := range p.packed {
+			for r, l := range w.levels[j*nRows : (j+1)*nRows] {
+				w.hist[r*numLevels+int(l)]++
+			}
 		}
 		for r := 0; r < nRows; r++ {
 			// Worst-case susceptibility (Section V-B5): every column
 			// active, so the active counts are the level histogram.
-			s.rowProbs[r] = m.sampler.PredictStepProbs(s.hist[r*numLevels : (r+1)*numLevels])
-			s.mags[r] = s.mags[r][:0]
-			s.extra[r] = s.extra[r][:0]
+			w.rowProbs[r] = m.sampler.PredictStepProbs(w.hist[r*numLevels : (r+1)*numLevels])
+			w.mags[r] = w.mags[r][:0]
+			w.extra[r] = w.extra[r][:0]
 		}
 		// Characterized giant-prone cells dominate the row susceptibility;
 		// their magnitudes depend on the levels this candidate A encodes.
@@ -569,62 +610,63 @@ func (s *abnSearcher) search(m *MappedMatrix, p *groupPlan) *core.Code {
 		// register their true rounded step so the table allocates the
 		// syndrome that actually occurs.
 		for _, gc := range p.giant {
-			mag := m.sampler.GiantMagnitude(int(s.levels[gc.Col*nRows+gc.Row]))
+			mag := m.sampler.GiantMagnitude(int(w.levels[gc.Col*nRows+gc.Row]))
 			if gc.Neg {
 				mag = -mag
 			}
 			if math.Abs(mag) < 2.5 {
-				s.rowProbs[gc.Row].AddDiscrete(mag, flicker*activeProb)
+				w.rowProbs[gc.Row].AddDiscrete(mag, flicker*activeProb)
 			} else {
 				// Large events quantize to their rounded step, but the
 				// residual read jitter occasionally lands one step away;
 				// register the neighbours so those reads stay correctable.
 				for d := -1; d <= 1; d++ {
 					steps := int(math.Round(mag)) + d
-					w := stepBlurWeight(mag, steps)
-					if steps != 0 && w > 1e-4 {
-						s.extra[gc.Row] = append(s.extra[gc.Row],
-							core.ExtraStep{Steps: steps, P: flicker * activeProb * w})
+					bw := stepBlurWeight(mag, steps)
+					if steps != 0 && bw > 1e-4 {
+						w.extra[gc.Row] = append(w.extra[gc.Row],
+							core.ExtraStep{Steps: steps, P: flicker * activeProb * bw})
 					}
 				}
 			}
-			s.mags[gc.Row] = append(s.mags[gc.Row], mag)
+			w.mags[gc.Row] = append(w.mags[gc.Row], mag)
 		}
 		// Rows hosting several prone cells can produce combined-step
 		// errors beyond the +/-2 buckets; register the pairwise sums.
 		p2 := flicker * activeProb * flicker * activeProb
-		for r, mags := range s.mags[:nRows] {
+		for r, mags := range w.mags[:nRows] {
 			for i := 0; i < len(mags); i++ {
 				for j := i + 1; j < len(mags); j++ {
 					steps := int(math.Round(mags[i] + mags[j]))
 					if steps != 0 && steps != 1 && steps != -1 && steps != 2 && steps != -2 {
-						s.extra[r] = append(s.extra[r], core.ExtraStep{Steps: steps, P: p2})
+						w.extra[r] = append(w.extra[r], core.ExtraStep{Steps: steps, P: p2})
 					}
 				}
 			}
 		}
-		s.spec.Rows = s.spec.Rows[:0]
+		w.spec.Rows = w.spec.Rows[:0]
 		for r := 0; r < nRows; r++ {
-			s.spec.Rows = append(s.spec.Rows, core.RowErr{
+			w.spec.Rows = append(w.spec.Rows, core.RowErr{
 				BitOffset: r * cell,
-				StepProb:  s.rowProbs[r],
-				Extra:     s.extra[r],
+				StepProb:  w.rowProbs[r],
+				Extra:     w.extra[r],
 			})
 		}
-		s.spec.Stuck = s.spec.Stuck[:0]
+		w.spec.Stuck = w.spec.Stuck[:0]
 		for _, sc := range p.stuck {
-			delta := int(sc.Level) - int(s.levels[sc.Col*nRows+sc.Row])
+			delta := int(sc.Level) - int(w.levels[sc.Col*nRows+sc.Row])
 			if delta == 0 {
 				continue
 			}
-			s.spec.Stuck = append(s.spec.Stuck, core.StuckErr{
+			w.spec.Stuck = append(w.spec.Stuck, core.StuckErr{
 				BitOffset: sc.Row * cell, Steps: delta, PActive: activeProb,
 			})
 		}
-		table := core.BuildDataAwareTable(a, b, s.spec)
+		table := core.BuildDataAwareTable(a, b, w.spec)
 		if table.CoveredProb() > bestCovered {
 			best = &core.Code{A: a, B: b, Table: table}
 			bestCovered = table.CoveredProb()
+			w.levels, w.best = w.best, w.levels
 		}
 	}
 	return best

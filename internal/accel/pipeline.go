@@ -18,7 +18,9 @@ import (
 // with zero helpers. Which goroutine fills a slot cannot move a draw.
 
 // kernelWorkers counts the goroutines doing kernel work right now: MVM
-// callers, pipeline helpers, and mapping's A-search workers. A session counts for the whole of a forward pass, not only its
+// callers, pipeline helpers, and mapping's build workers (the mapping
+// goroutine counts while it runs its verify pass and its share of the
+// builds). A session counts for the whole of a forward pass, not only its
 // MVMs, so the layers between MVMs (a convolution's patch gathering
 // between its per-position MVMs) do not read as an idle core. A helper is
 // taken only while the count is below GOMAXPROCS, and hands its remaining

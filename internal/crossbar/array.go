@@ -12,10 +12,13 @@ package crossbar
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"math/rand/v2"
+	"slices"
 
 	"repro/internal/core"
+	"repro/internal/stats"
 )
 
 // DefaultSize is the array dimension the paper evaluates (128x128).
@@ -589,6 +592,16 @@ func (t *VerifyTally) Note(pulses int, ok bool) {
 	t.Hist[pulses-1]++
 }
 
+// noteConverged records n cells that verified after pulses pulses each.
+func (t *VerifyTally) noteConverged(pulses int, n uint64) {
+	t.Cells += n
+	t.Pulses += n * uint64(pulses)
+	for len(t.Hist) < pulses {
+		t.Hist = append(t.Hist, 0)
+	}
+	t.Hist[pulses-1] += n
+}
+
 // Merge folds another tally into this one.
 func (t *VerifyTally) Merge(o VerifyTally) {
 	t.Cells += o.Cells
@@ -645,18 +658,146 @@ func (a *Array) programVerifyPhys(p, c int, level uint8, maxIters int, pulseFail
 	return maxIters, false
 }
 
-// ProgramColumnVerify writes the bit slices of an encoded word down column
-// col through the closed-loop verify path, one slice per logical row
-// starting at row 0, folding the per-cell accounting into tally.
-func (a *Array) ProgramColumnVerify(col int, w core.Word, maxIters int, pulseFail []float64, rng *rand.Rand, tally *VerifyTally) error {
-	if err := checkSliceRows(w, a.BitsPerCell, a.Rows); err != nil {
-		return err
+// ProgramLevels blind-writes a whole fresh array at once: levels holds
+// every logical row's target level in column-major order (cell (r, c) at
+// levels[c*Rows+r], the layout SliceLevelsInto fills one column at a time),
+// and each word line's cells, both mask sets and present-level list are
+// built in one pass instead of one cell at a time. The array must hold no
+// stuck cells and no drift (as NewArrayWithSpares returns it), so every
+// cell's effective level is its programmed one. Closed-loop programming is
+// ProgramLevels followed by a VerifyPass over the same slab: a verified
+// write lands the same discrete level a blind one does.
+func (a *Array) ProgramLevels(levels []uint8) error {
+	if len(levels) != a.Rows*a.Cols {
+		return fmt.Errorf("crossbar: %d levels for a %dx%d array", len(levels), a.Rows, a.Cols)
 	}
+	if len(a.stuck) > 0 || a.drifted != 0 {
+		return fmt.Errorf("crossbar: ProgramLevels needs an array without stuck or drifted cells")
+	}
+	k := a.NumLevels()
 	for r := 0; r < a.Rows; r++ {
-		pulses, ok := a.ProgramVerify(r, col, sliceLevel(w, a.BitsPerCell, r), maxIters, pulseFail, rng)
-		tally.Note(pulses, ok)
+		p := a.rowMap[r]
+		prog, eff := a.progCells(p), a.effCells(p)
+		// A line's effective masks come first and its programmed ones
+		// second; with every cell on target the two halves are equal.
+		line := a.masks[p*a.lineWords : (p+1)*a.lineWords]
+		effMasks := line[:a.lineWords/2]
+		clear(effMasks)
+		var seen [4]uint64 // bit l set once level l > 0 occurs on the line
+		for c, i := 0, r; c < a.Cols; c, i = c+1, i+a.Rows {
+			lv := levels[i]
+			if int(lv) >= k {
+				return fmt.Errorf("crossbar: level %d exceeds %d-bit cell", lv, a.BitsPerCell)
+			}
+			prog[c], eff[c] = lv, lv
+			if lv != 0 {
+				effMasks[(int(lv)-1)*a.words+c/64] |= 1 << uint(c%64)
+				seen[lv/64] |= 1 << (lv % 64)
+			}
+		}
+		copy(line[a.lineWords/2:], effMasks)
+		slot := a.present[p*k : (p+1)*k]
+		n := 0
+		for l := 1; l < k; l++ {
+			if seen[l/64]>>(l%64)&1 == 1 {
+				n++
+				slot[n] = uint8(l)
+			}
+		}
+		slot[0] = uint8(n)
 	}
 	return nil
+}
+
+// VerifyPass is the closed-loop verify of an array freshly written by
+// ProgramLevels, split like a row read into a pure half and a draw half.
+// A pulse always lands a healthy cell at its target's discrete level, so
+// the cells are final once written and the verify stream decides only the
+// pulse counts: Prepare keeps, in slab order, the levels whose pulses can
+// miss and counts the cells that verify on their first pulse, and Draw
+// consumes the stream for the kept cells and tallies every cell. Prepare
+// touches no RNG and may run on any goroutine; ProgramLevels, Prepare and
+// Draw over the same slab leave the array, the tally and the stream
+// exactly as ProgramVerify of each cell in column/row order would.
+type VerifyPass struct {
+	pulseFail []float64
+	draws     []uint8 // levels of the cells whose pulses can miss
+	sure      uint64  // cells that verify on their first pulse
+}
+
+// Prepare runs the pure half over a column-major level slab (the one
+// ProgramLevels wrote) under the per-level single-pulse miss
+// probabilities pulseFail (nil: every pulse verifies). It reuses the
+// pass's buffer.
+func (v *VerifyPass) Prepare(levels []uint8, pulseFail []float64) {
+	v.pulseFail, v.sure = pulseFail, 0
+	v.draws = v.draws[:0]
+	if pulseFail == nil {
+		v.sure = uint64(len(levels))
+		return
+	}
+	var miss [256]uint8 // 1 where a pulse at that level can miss
+	for l, pf := range pulseFail {
+		if pf > 0 {
+			miss[l] = 1
+		}
+	}
+	buf := slices.Grow(v.draws, len(levels))[:len(levels)]
+	n := 0
+	for _, lv := range levels {
+		buf[n] = lv
+		n += int(miss[lv])
+	}
+	v.draws = buf[:n]
+	v.sure = uint64(len(levels) - n)
+}
+
+// Draw runs the draw half: up to maxIters pulses per kept cell, each
+// missing with its level's probability on rng, and every cell's outcome
+// folded into tally. A nil rng draws nothing and verifies every pulse.
+func (v *VerifyPass) Draw(maxIters int, rng *stats.FastRand, tally *VerifyTally) {
+	maxIters = max(1, maxIters)
+	// conv[i] counts the cells verified after i+1 pulses; later ones are
+	// noted one by one.
+	var conv [8]uint64
+	var gaveUp uint64
+	conv[0] = v.sure
+	if rng == nil {
+		conv[0] += uint64(len(v.draws))
+	} else {
+		// Float64 < pf compares the variate's low 53 bits, scaled by
+		// 2^-53, with pf; both sides are exact, so the comparison is
+		// bits < ceil(pf * 2^53) on integers.
+		var miss [256]uint64
+		for l, pf := range v.pulseFail {
+			if pf > 0 {
+				miss[l] = uint64(math.Ceil(math.Min(pf, 1) * (1 << 53)))
+			}
+		}
+		for _, lv := range v.draws {
+			th := miss[lv]
+			iter := 1
+			for iter <= maxIters && rng.Uint64()&(1<<53-1) < th {
+				iter++
+			}
+			switch {
+			case iter > maxIters:
+				gaveUp++
+			case iter <= len(conv):
+				conv[iter-1]++
+			default:
+				tally.Note(iter, true)
+			}
+		}
+	}
+	for i, n := range conv {
+		if n > 0 {
+			tally.noteConverged(i+1, n)
+		}
+	}
+	tally.Cells += gaveUp
+	tally.Pulses += gaveUp * uint64(maxIters)
+	tally.GaveUp += gaveUp
 }
 
 // SpareRowsFree returns how many spare word lines remain available.
@@ -701,7 +842,9 @@ func (a *Array) SpareRow(r int, maxIters int, pulseFail []float64, rng *rand.Ran
 // SliceLevelsInto splits an encoded word into per-row cell levels, least
 // significant slice first (Figure 2), writing into dst and reusing its
 // backing array when it holds nRows levels (a nil dst allocates). nRows
-// must cover the word's bit length.
+// must cover the word's bit length; rows past it read 0. The limbs stream
+// through one bit buffer, so a slice that straddles two limbs costs no more
+// than one inside a limb, at any width from 1 to 8 bits.
 func SliceLevelsInto(dst []uint8, w core.Word, bitsPerCell, nRows int) ([]uint8, error) {
 	if err := checkSliceRows(w, bitsPerCell, nRows); err != nil {
 		return nil, err
@@ -710,8 +853,27 @@ func SliceLevelsInto(dst []uint8, w core.Word, bitsPerCell, nRows int) ([]uint8,
 		dst = make([]uint8, nRows)
 	}
 	dst = dst[:nRows]
+	width := uint(bitsPerCell)
+	mask := uint64(1)<<width - 1
+	var buf uint64 // the next have bits of the word, least significant first
+	have, limb := uint(0), 0
 	for r := range dst {
-		dst[r] = sliceLevel(w, bitsPerCell, r)
+		if have >= width {
+			dst[r] = uint8(buf & mask)
+			buf >>= width
+			have -= width
+			continue
+		}
+		// The slice takes the buffer's have bits and width-have bits of
+		// the next limb; the limb's rest becomes the buffer.
+		var next uint64
+		if limb < len(w) {
+			next = w[limb]
+			limb++
+		}
+		dst[r] = uint8((buf | next<<have) & mask)
+		buf = next >> (width - have)
+		have = 64 - (width - have)
 	}
 	return dst, nil
 }
@@ -720,24 +882,6 @@ func SliceLevelsInto(dst []uint8, w core.Word, bitsPerCell, nRows int) ([]uint8,
 func checkSliceRows(w core.Word, bitsPerCell, nRows int) error {
 	if need := (w.BitLen() + bitsPerCell - 1) / bitsPerCell; need > nRows {
 		return fmt.Errorf("crossbar: %d-bit word needs %d slices, only %d rows", w.BitLen(), need, nRows)
-	}
-	return nil
-}
-
-// sliceLevel is row r's cell level of the bit-sliced word w.
-func sliceLevel(w core.Word, bitsPerCell, r int) uint8 {
-	return uint8(w.ExtractBits(uint(r*bitsPerCell), uint(bitsPerCell)))
-}
-
-// ProgramColumn writes the bit slices of an encoded word down column col,
-// one slice per logical row starting at row 0, with blind (single-pulse,
-// unverified) writes.
-func (a *Array) ProgramColumn(col int, w core.Word) error {
-	if err := checkSliceRows(w, a.BitsPerCell, a.Rows); err != nil {
-		return err
-	}
-	for r := 0; r < a.Rows; r++ {
-		a.Set(r, col, sliceLevel(w, a.BitsPerCell, r))
 	}
 	return nil
 }

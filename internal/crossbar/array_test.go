@@ -195,10 +195,12 @@ func TestMVMThroughArray(t *testing.T) {
 		vals[j] = uint64(rng.IntN(1 << 20))
 	}
 	a := NewArray(16, cols, 2)
+	words := make([]core.Word, cols)
 	for j, v := range vals {
-		if err := a.ProgramColumn(j, core.WordFromU64(v<<3)); err != nil {
-			t.Fatal(err)
-		}
+		words[j] = core.WordFromU64(v << 3)
+	}
+	if _, err := programWords(a, words); err != nil {
+		t.Fatal(err)
 	}
 	input := make([]uint64, a.MaskWords())
 	var want uint64
@@ -261,10 +263,12 @@ func TestBitSerialReconstructionQuick(t *testing.T) {
 			inputs[j] = uint64(rng.IntN(1 << inBits))
 		}
 		a := NewArray(8, cols, 1)
+		words := make([]core.Word, cols)
 		for j, w := range weights {
-			if err := a.ProgramColumn(j, core.WordFromU64(w)); err != nil {
-				return false
-			}
+			words[j] = core.WordFromU64(w)
+		}
+		if _, err := programWords(a, words); err != nil {
+			return false
 		}
 		masks := InputMasks(inputs, inBits)
 		var got uint64

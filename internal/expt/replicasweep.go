@@ -184,7 +184,10 @@ func serveStep(ctx context.Context, sched *serve.Scheduler, test []nn.Example, s
 }
 
 // RenderReplicas prints the R-sweep summary: accuracy and availability per
-// lifetime step per R, then the hardware bill.
+// lifetime step per R, then the hardware bill: each R's area and power, and
+// its last-step read energy per image, with "area x" and "energy x" taken
+// against R=1 at step 0 (one healthy copy serving every image from
+// crossbars).
 func RenderReplicas(w io.Writer, points []ReplicaPoint) {
 	if len(points) == 0 {
 		return
@@ -199,9 +202,14 @@ func RenderReplicas(w io.Writer, points []ReplicaPoint) {
 			p.Failovers, p.Degrades, p.Votes, p.ServeErrors)
 		last[p.Replicas] = p
 	}
+	// The bill is against one healthy copy: R=1 at step 0, before any
+	// wear, serves every image from crossbars. R=1's own last step is no
+	// base, since a copy that degraded to software reads almost nothing.
 	var base ReplicaPoint
-	if b, ok := last[1]; ok {
-		base = b
+	for _, p := range points {
+		if p.Replicas == 1 && p.Step == 0 {
+			base = p
+		}
 	}
 	fmt.Fprintf(w, "\nhardware bill (honest R× cost):\n")
 	fmt.Fprintf(w, "%-3s %12s %12s %16s %10s %10s\n", "R", "area mm^2", "power mW", "energy/img J", "area x", "energy x")
@@ -214,8 +222,8 @@ func RenderReplicas(w io.Writer, points []ReplicaPoint) {
 			ax = p.AreaMM2 / base.AreaMM2
 		}
 		lb := last[p.Replicas]
-		if b, ok := last[1]; ok && b.EnergyPerImageJ > 0 {
-			ex = lb.EnergyPerImageJ / b.EnergyPerImageJ
+		if base.EnergyPerImageJ > 0 {
+			ex = lb.EnergyPerImageJ / base.EnergyPerImageJ
 		}
 		fmt.Fprintf(w, "%-3d %12.3f %12.1f %16.3e %9.2fx %9.2fx\n",
 			p.Replicas, p.AreaMM2, p.PowerMW, lb.EnergyPerImageJ, ax, ex)

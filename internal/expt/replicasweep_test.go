@@ -117,3 +117,27 @@ func TestReplicaSweepRendering(t *testing.T) {
 	checkGolden(t, "replicas.txt", tbl.Bytes())
 	checkGolden(t, "replicas.csv", csvBuf.Bytes())
 }
+
+// TestRenderReplicasEnergyAgainstHealthyCopy: the bill's "energy x" divides
+// each R's last-step energy per image by R=1's at step 0. R=1's own last
+// step is no base: once its layers fall to software it reads almost no
+// crossbar energy, and dividing by that read R=2 as hundreds of times R=1.
+func TestRenderReplicasEnergyAgainstHealthyCopy(t *testing.T) {
+	points := []ReplicaPoint{
+		{Workload: "w", Replicas: 1, Step: 0, Availability: 1, AreaMM2: 1, EnergyPerImageJ: 1.0e-6},
+		{Workload: "w", Replicas: 1, Step: 1, Availability: 0, AreaMM2: 1, EnergyPerImageJ: 2.0e-9},
+		{Workload: "w", Replicas: 2, Step: 0, Availability: 1, AreaMM2: 2, EnergyPerImageJ: 1.0e-6},
+		{Workload: "w", Replicas: 2, Step: 1, Availability: 1, AreaMM2: 2, EnergyPerImageJ: 1.5e-6},
+	}
+	var buf bytes.Buffer
+	RenderReplicas(&buf, points)
+	out := buf.String()
+	for _, want := range []string{
+		"1          1.000          0.0        2.000e-09      1.00x      0.00x",
+		"2          2.000          0.0        1.500e-06      2.00x      1.50x",
+	} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("bill missing row %q:\n%s", want, out)
+		}
+	}
+}

@@ -55,7 +55,7 @@ type Report struct {
 	// CellsReprogrammed is the number of deviating cells rewritten.
 	CellsReprogrammed int
 	// Verify accumulates the closed-loop programming accounting of every
-	// repair and sparing in this pass.
+	// repair and sparing in this pass (and, from Reprogram, of the remap).
 	Verify crossbar.VerifyTally
 }
 
@@ -188,15 +188,21 @@ func (s *Scrubber) PatrolLayer(layer int) (Report, error) {
 
 // Reprogram remaps one layer of eng onto spare arrays and verifies the new
 // arrays with one patrol pass under the engine's own settings: the repair
-// cycle of a replica's spatial failover and of a drained shard.
-// Engine.Remap keeps the layer's software-fallback flag, so a degraded or
-// drained layer returns to crossbars only on the ladder's or the
-// operator's call (Rejoin), never as a side effect of a repair.
+// cycle of a replica's spatial failover and of a drained shard. The
+// report's Verify tally holds the remap's own write-verify accounting (the
+// whole layer went through the closed-loop path, drawing on the engine's
+// seed) plus the patrol's. Engine.Remap keeps the layer's software-fallback
+// flag, so a degraded or drained layer returns to crossbars only on the
+// ladder's or the operator's call (Rejoin), never as a side effect of a
+// repair.
 func Reprogram(eng *accel.Engine, layer int) (Report, error) {
 	if err := eng.Remap(layer); err != nil {
 		return Report{}, err
 	}
-	return New(eng).PatrolLayer(layer)
+	remap := eng.Mapped(layer).VerifyStats()
+	rep, err := New(eng).PatrolLayer(layer)
+	rep.Verify.Merge(remap)
+	return rep, err
 }
 
 // patrolArray walks one coded group. The probe unit is a column: each

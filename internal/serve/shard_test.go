@@ -19,6 +19,7 @@ import (
 	"repro/internal/nn"
 	"repro/internal/replica"
 	"repro/internal/scrub"
+	"repro/internal/shard"
 )
 
 // shardTestEngine maps a four-MVM-layer network — enough mapped layers to
@@ -468,14 +469,20 @@ func TestShardRepairKeepsCopySeeds(t *testing.T) {
 	// The twin repairs each copy directly, under that copy's own engine.
 	sh := twin.Scheduler().pool.Shard(0)
 	set := sh.Set()
+	want := make([]shard.RepairVerify, set.Size())
 	for r := 0; r < set.Size(); r++ {
 		for _, li := range sh.Layers() {
-			if _, err := scrub.Reprogram(set.Engine(r), li); err != nil {
+			rep, err := scrub.Reprogram(set.Engine(r), li)
+			if err != nil {
 				t.Fatal(err)
 			}
+			want[r].Cells += rep.Verify.Cells
+			want[r].Pulses += rep.Verify.Pulses
+			want[r].GaveUp += rep.Verify.GaveUp
 		}
 	}
-	got := srv.Scheduler().pool.Shard(0).Set()
+	gotShard := srv.Scheduler().pool.Shard(0)
+	got := gotShard.Set()
 	if got.Engine(1).Config().Seed == got.Engine(0).Config().Seed {
 		t.Fatal("copies share one engine seed")
 	}
@@ -483,5 +490,14 @@ func TestShardRepairKeepsCopySeeds(t *testing.T) {
 		if !reflect.DeepEqual(got.Engine(r).Snapshot(), set.Engine(r).Snapshot()) {
 			t.Errorf("copy %d after the admin repair differs from a repair under its own seed", r)
 		}
+	}
+	// The cell state does not depend on the verify draws; the pulse
+	// counts and give-ups do, so each copy's accounting must be the one
+	// its own seed gives.
+	if want[0].Pulses == want[1].Pulses && want[0].GaveUp == want[1].GaveUp {
+		t.Fatalf("both copies' repairs read %+v: the fixture cannot tell the seeds apart", want[0])
+	}
+	if rv := gotShard.Status().RepairVerify; !reflect.DeepEqual(rv, want) {
+		t.Errorf("admin repair verify accounting %+v, per-copy repairs under their own seeds %+v", rv, want)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/crossbar"
 	"repro/internal/replica"
 	"repro/internal/scrub"
 )
@@ -51,10 +52,17 @@ type Shard struct {
 	repairs atomic.Uint64 // completed repair cycles
 	remaps  atomic.Uint64 // layer remaps performed by repair cycles
 	rejoins atomic.Uint64 // rejoin transitions back to serving
+
+	// verify[r] sums copy r's write-verify accounting over every repair
+	// (the remap's programming and the patrol's re-writes). verifyMu
+	// guards it on its own, so Status never waits out a running repair.
+	verifyMu sync.Mutex
+	verify   []RepairVerify
 }
 
 func newShard(id int, layers []int, set *replica.Set) *Shard {
-	return &Shard{id: id, layers: append([]int(nil), layers...), set: set}
+	return &Shard{id: id, layers: append([]int(nil), layers...), set: set,
+		verify: make([]RepairVerify, set.Size())}
 }
 
 // ID returns the shard's position in the pool.
@@ -92,7 +100,8 @@ func (sh *Shard) Drain() error {
 // its own engine's verify bound and seed, so copies keep independent error
 // processes). Call it on a drained shard: traffic keeps answering from the
 // software path, which the repair leaves in place until Rejoin, so the
-// reprogram stalls nobody. It returns the
+// reprogram stalls nobody. Each copy's verify accounting (pulses,
+// give-ups) adds to its RepairVerify row. It returns the
 // number of layers whose verify still reports uncorrectable rows (0 = the
 // shard is clean and safe to Rejoin).
 func (sh *Shard) Repair() (dirty int, err error) {
@@ -105,6 +114,9 @@ func (sh *Shard) Repair() (dirty int, err error) {
 				return dirty, fmt.Errorf("shard %d: repairing layer %d replica %d: %w", sh.id, li, r, err)
 			}
 			sh.remaps.Add(1)
+			sh.verifyMu.Lock()
+			sh.verify[r].add(rep.Verify)
+			sh.verifyMu.Unlock()
 			if !rep.Clean() {
 				dirty++
 			}
@@ -150,9 +162,31 @@ type ShardStatus struct {
 	Repairs uint64 `json:"repairs"`
 	Remaps  uint64 `json:"remaps"`
 	Rejoins uint64 `json:"rejoins"`
+	// RepairVerify is each replica copy's write-verify accounting summed
+	// over the shard's repairs, in copy order. Copies program under their
+	// own engine seeds, so their pulse counts and give-ups differ.
+	RepairVerify []RepairVerify `json:"repair_verify"`
 	// Replicas is the shard's replica-set view (attachment, open breakers,
 	// routing counters).
 	Replicas replica.SetStatus `json:"replicas"`
+}
+
+// RepairVerify is one copy's write-verify accounting over the shard's
+// repairs.
+type RepairVerify struct {
+	// Cells is how many cells went through the verify loop.
+	Cells uint64 `json:"cells"`
+	// Pulses is the total write pulses issued.
+	Pulses uint64 `json:"pulses"`
+	// GaveUp counts cells that never verified within the pulse bound.
+	GaveUp uint64 `json:"gave_up"`
+}
+
+// add folds one repair report's verify tally in.
+func (v *RepairVerify) add(t crossbar.VerifyTally) {
+	v.Cells += t.Cells
+	v.Pulses += t.Pulses
+	v.GaveUp += t.GaveUp
 }
 
 // Status snapshots the shard.
@@ -167,6 +201,9 @@ func (sh *Shard) Status() ShardStatus {
 		Rejoins:  sh.rejoins.Load(),
 		Replicas: sh.set.Status(),
 	}
+	sh.verifyMu.Lock()
+	st.RepairVerify = append([]RepairVerify(nil), sh.verify...)
+	sh.verifyMu.Unlock()
 	for _, li := range sh.layers {
 		if sh.set.Engine(0).Fallback(li) {
 			st.DegradedLayers = append(st.DegradedLayers, li)

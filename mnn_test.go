@@ -30,7 +30,11 @@ func TestFacadeSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	arr := NewArray(8, 16, 2)
-	if err := arr.ProgramColumn(0, WordFromU64(0xABCD)); err != nil {
+	levels := make([]uint8, 8*16)
+	if _, err := SliceLevelsInto(levels[:8], WordFromU64(0xABCD), 2, 8); err != nil {
+		t.Fatal(err)
+	}
+	if err := arr.ProgramLevels(levels); err != nil {
 		t.Fatal(err)
 	}
 
