@@ -92,6 +92,21 @@ func (s *Scratch) loadInput(m *MappedMatrix, x []float64) {
 	clear(s.acc)
 }
 
+// livePlanes returns one bit per plane of masks, set when that plane drives
+// at least one column.
+func livePlanes(masks [][]uint64) uint64 {
+	var live uint64
+	for b, mask := range masks {
+		for _, w := range mask {
+			if w != 0 {
+				live |= 1 << b
+				break
+			}
+		}
+	}
+	return live
+}
+
 // accumulate adds one group read's lanes, read under input bit plane b, to
 // the internal outputs the group serves.
 func (s *Scratch) accumulate(g *group, lanes []uint64, b int) {

@@ -9,16 +9,14 @@ import (
 	"repro/internal/stats"
 )
 
-// TestAccumulateRowLevelsBatchMatchesFull checks the read path's one
-// aggregation — B images x planes accumulators advanced by one level-list
-// walk, closed by FinishAccum — against the full-scan AggregateRow and the
-// ideal sum(level*count), bit for bit, on random sparse counts: absent
+// TestAggregateLevelsMatchesFull checks the read path's one aggregation —
+// one column of the level-major counts walked over a row's level list —
+// against the full-scan AggregateRow and the ideal sum(level*count), bit
+// for bit, on random sparse counts of B images x planes columns: absent
 // levels (unlisted, and garbage in the flat buffer, which the crossbar
 // kernel never writes there), listed levels with zero active count, PRTN
 // 0 and 1 as well as in between, and a device with no RTN-active level.
-// The accumulators are reused across rows without clearing, as the kernel
-// reuses them.
-func TestAccumulateRowLevelsBatchMatchesFull(t *testing.T) {
+func TestAggregateLevelsMatchesFull(t *testing.T) {
 	def := DefaultDeviceParams().DeltaRLoFrac
 	// A vanishing RTN amplitude puts every level below stepFloor.
 	for _, dev := range []struct{ prtn, deltaRLo float64 }{{0, def}, {0.27, def}, {1, def}, {0.27, 1e-12}} {
@@ -32,7 +30,6 @@ func TestAccumulateRowLevelsBatchMatchesFull(t *testing.T) {
 		}
 		rng := rand.New(rand.NewPCG(12, 34))
 		k := p.NumLevels()
-		accs := make([]AggAccum, 4*3)
 		for trial := 0; trial < 200; trial++ {
 			images := 1 + rng.IntN(4)
 			planes := 1 + rng.IntN(3)
@@ -57,7 +54,6 @@ func TestAccumulateRowLevelsBatchMatchesFull(t *testing.T) {
 					}
 				}
 			}
-			s.AccumulateRowLevelsBatch(levels, counts, accs[:stride])
 			for j := 0; j < stride; j++ {
 				full := make([]int, k)
 				wantIdeal := 0
@@ -66,13 +62,13 @@ func TestAccumulateRowLevelsBatchMatchesFull(t *testing.T) {
 					wantIdeal += int(lv) * full[lv]
 				}
 				want := s.AggregateRow(full)
-				got, ideal := s.FinishAccum(&accs[j])
+				got, ideal := s.AggregateLevels(levels, counts, stride, j)
 				if got.N != want.N || !sameBits(got.Sbar, want.Sbar) || !sameBits(got.Resid, want.Resid) || !sameBits(got.Sigma, want.Sigma) {
-					t.Fatalf("%s trial %d image %d plane %d (levels %v counts %v): batched agg %+v, full agg %+v",
+					t.Fatalf("%s trial %d image %d plane %d (levels %v counts %v): level-list agg %+v, full agg %+v",
 						name, trial, j/planes, j%planes, levels, full, got, want)
 				}
 				if ideal != wantIdeal {
-					t.Fatalf("%s trial %d image %d plane %d: batched ideal %d, want %d",
+					t.Fatalf("%s trial %d image %d plane %d: level-list ideal %d, want %d",
 						name, trial, j/planes, j%planes, ideal, wantIdeal)
 				}
 			}
@@ -107,7 +103,8 @@ func TestSampleDrawMatchesSampleAgg(t *testing.T) {
 				}
 			}
 			agg := s.AggregateRow(counts)
-			d := s.PrepareDraw(&sn, agg)
+			var d RowDraw
+			s.PrepareDraw(&sn, agg, &d)
 			want := s.SampleAgg(ref, agg)
 			if got := s.SampleDraw(fr, &d); math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("PRTN=%g trial %d (agg %+v): SampleDraw %v, SampleAgg %v", prtn, trial, agg, got, want)

@@ -170,82 +170,48 @@ func (s *RowSampler) AggregateRow(counts []int) RowAgg {
 	return s.finishAgg(s.aggregate(counts))
 }
 
-// AggAccum is one (image, bit-plane)'s in-flight state in the batched
-// level-list reduction: the running sums of aggregate plus the ideal ADC
-// output sum(level*count), exposed so a single walk of a row's level list
-// can advance B independent reductions side by side (level-major, so the
-// per-level noise terms stay in registers and the count loads are
-// unit-stride). Finish with FinishAccum.
-type AggAccum struct {
-	stepSum, meanExcess, comp, statVar, dynVar, curSteps float64
-	n, ideal                                             int
-}
-
-// AccumulateRowLevelsBatch advances len(accs) independent aggregations in
-// one pass over a row's present-level list. counts is the flat level-major
-// buffer crossbar.ActiveCountsBatch fills: counts[k*len(accs)+i] is
-// reduction i's active-cell count at level k (only listed levels are read,
-// matching what the crossbar kernel writes). The accumulators are reset
-// first, so one call per row is the whole reduction.
+// AggregateLevels is the read path's aggregation: one (image, bit-plane)'s
+// AggregateRow over a row's present-level list, plus the ideal ADC output
+// sum(level*count). counts is the flat level-major buffer
+// crossbar.ActiveCountsBatch fills, and column j of it is this reduction:
+// counts[k*stride+j] is its active-cell count at level k (only listed
+// levels are read, matching what the crossbar kernel writes). The running
+// sums are locals, so a call keeps the whole reduction in registers.
 //
-// Each reduction is bit-identical to AggregateRow on its own counts, with
-// unlisted levels at zero: like the full scan it skips zero counts (which
-// is also a pure identity — every per-level term is non-negative, so each
-// accumulator starts at +0.0 and never turns negative, and adding the +0.0
-// products a zero count would produce leaves every float bit unchanged),
-// and the per-level expression shapes and ascending visit order match the
-// full scan exactly. The ideal output is integer arithmetic alongside, so
-// it cannot perturb the float sequence.
-func (s *RowSampler) AccumulateRowLevelsBatch(levels []uint8, counts []int, accs []AggAccum) {
-	clear(accs)
-	stride := len(accs)
+// The result is bit-identical to AggregateRow on the same counts, with
+// unlisted levels at zero: the per-level expression shapes and the
+// ascending visit order match the full scan exactly. Unlike the full scan
+// it does not skip zero counts, which is a pure identity: every per-level
+// term is finite and non-negative, so each sum starts at +0.0 and never
+// turns negative, and adding the +0.0 products of a zero count leaves
+// every float bit unchanged. The ideal output is integer arithmetic
+// alongside, so it cannot perturb the float sequence.
+func (s *RowSampler) AggregateLevels(levels []uint8, counts []int, stride, j int) (RowAgg, int) {
+	var stepSum, meanExcess, comp, statVar, dynVar, curSteps float64
+	var n, ideal int
 	p := s.params.PRTN
 	for _, lv := range levels {
 		k := int(lv)
 		t := &s.terms[k]
-		cs := counts[k*stride : k*stride+stride]
+		c := counts[k*stride+j]
+		fc := float64(c)
 		if t.rtnActive {
-			for i, c := range cs {
-				if c == 0 {
-					continue
-				}
-				a := &accs[i]
-				fc := float64(c)
-				a.n += c
-				a.ideal += k * c
-				a.stepSum += fc * t.stepExcess
-				a.meanExcess += fc * p * t.stepExcess
-				a.comp += fc * t.compSteps
-				a.statVar += fc * t.progVar
-				a.dynVar += fc * t.thermVar
-				a.curSteps += fc * t.gSteps
-			}
-		} else {
-			for i, c := range cs {
-				if c == 0 {
-					continue
-				}
-				a := &accs[i]
-				fc := float64(c)
-				a.ideal += k * c
-				a.comp += fc * t.compSteps
-				a.statVar += fc * t.progVar
-				a.dynVar += fc * t.thermVar
-				a.curSteps += fc * t.gSteps
-			}
+			n += c
+			stepSum += fc * t.stepExcess
+			meanExcess += fc * p * t.stepExcess
 		}
+		ideal += k * c
+		comp += fc * t.compSteps
+		statVar += fc * t.progVar
+		dynVar += fc * t.thermVar
+		curSteps += fc * t.gSteps
 	}
-}
-
-// FinishAccum closes one batched reduction, returning exactly what
-// AggregateRow would have for the same counts, and the ideal ADC output.
-func (s *RowSampler) FinishAccum(a *AggAccum) (RowAgg, int) {
-	dynVar := a.dynVar + s.shotVarPerStep*a.curSteps
+	dynVar += s.shotVarPerStep * curSteps
 	var sbar float64
-	if a.n > 0 {
-		sbar = a.stepSum / float64(a.n)
+	if n > 0 {
+		sbar = stepSum / float64(n)
 	}
-	return s.finishAgg(a.n, sbar, a.meanExcess-a.comp, a.statVar, dynVar), a.ideal
+	return s.finishAgg(n, sbar, meanExcess-comp, statVar, dynVar), ideal
 }
 
 // AggregateActivity reduces a row's full programmed-level histogram under a
@@ -333,19 +299,20 @@ type RowDraw struct {
 	Bin *stats.BinomTable
 }
 
-// PrepareDraw resolves an aggregate for SampleDraw. sn must come from this
-// sampler's BinomSnapshot.
-func (s *RowSampler) PrepareDraw(sn *stats.BinomSnapshot, agg RowAgg) RowDraw {
-	d := RowDraw{Resid: agg.Resid, Sigma: agg.Sigma, Sbar: agg.Sbar}
+// PrepareDraw resolves an aggregate for SampleDraw into d, writing every
+// field in place. sn must come from this sampler's BinomSnapshot.
+func (s *RowSampler) PrepareDraw(sn *stats.BinomSnapshot, agg RowAgg, d *RowDraw) {
+	var bin *stats.BinomTable
 	if agg.N > 0 && agg.Sbar > 0 && s.params.PRTN > 0 {
-		d.Bin = sn.Table(agg.N)
+		bin = sn.Table(agg.N)
 	}
-	return d
+	d.Resid, d.Sigma, d.Sbar, d.Bin = agg.Resid, agg.Sigma, agg.Sbar, bin
 }
 
 // SampleDraw is SampleAgg on the devirtualized hot-path RNG over a prepared
-// draw: SampleDraw(rng, PrepareDraw(sn, agg)) is bit-for-bit and
-// draw-for-draw identical to SampleAgg(rng, agg) over the same PCG state.
+// draw: SampleDraw(rng, d) after PrepareDraw(sn, agg, d) is bit-for-bit
+// and draw-for-draw identical to SampleAgg(rng, agg) over the same PCG
+// state.
 func (s *RowSampler) SampleDraw(rng *stats.FastRand, d *RowDraw) float64 {
 	dev := d.Resid
 	if d.Bin != nil {
