@@ -1,4 +1,4 @@
-package replica
+package replica_test
 
 import (
 	"math"
@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/accel"
 	"repro/internal/nn"
+	"repro/internal/replica"
 )
 
 // noisyEngine maps the tiny network with the full default noise model, so
@@ -40,25 +41,18 @@ func TestReplicaForwardBatchMatchesSerial(t *testing.T) {
 	}
 
 	eng := noisyEngine(t)
-	set, err := NewSet(eng, Config{N: 3, Monitor: testMonitor()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ser := set.NewSession(1)
+	pool, _ := routedSet(t, eng, replica.Config{N: 3, Monitor: testMonitor()})
+	ser := pool.NewSession(1)
 	want := make([][]float64, b)
 	wantSt := make([]accel.Stats, b)
 	for i, stream := range streams {
-		ser.Reseed(stream)
-		want[i] = append([]float64(nil), ser.Forward(xs[i]).Data...)
-		wantSt[i] = ser.DrainStats()
+		want[i] = append([]float64(nil), forward(t, ser, stream, xs[i]).Data...)
+		wantSt[i] = ser.DrainBatchStats(0)
 	}
 
 	eng2 := noisyEngine(t)
-	set2, err := NewSet(eng2, Config{N: 3, Monitor: testMonitor()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ses := set2.NewSession(1)
+	pool2, _ := routedSet(t, eng2, replica.Config{N: 3, Monitor: testMonitor()})
+	ses := pool2.NewSession(1)
 	outs, errs := ses.ForwardBatch(xs, streams)
 	for i := range outs {
 		if errs[i] != nil {
@@ -92,12 +86,9 @@ func TestReplicaForwardBatchFailover(t *testing.T) {
 	want := reference(t, streams)
 
 	eng := quietEngine(t)
-	set, err := NewSet(eng, Config{N: 2, Monitor: testMonitor()})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pool, set := routedSet(t, eng, replica.Config{N: 2, Monitor: testMonitor()})
 	saturate(t, set.Engine(1), 0)
-	ses := set.NewSession(1)
+	ses := pool.NewSession(1)
 	outs, errs := ses.ForwardBatch(xs, streams)
 	for i := range outs {
 		if errs[i] != nil {
@@ -133,12 +124,9 @@ func TestReplicaForwardBatchVote(t *testing.T) {
 	want := reference(t, streams)
 
 	eng := quietEngine(t)
-	set, err := NewSet(eng, Config{N: 3, VoteThreshold: 1, Monitor: testMonitor()})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pool, set := routedSet(t, eng, replica.Config{N: 3, VoteThreshold: 1, Monitor: testMonitor()})
 	saturate(t, set.Engine(0), 0)
-	ses := set.NewSession(1)
+	ses := pool.NewSession(1)
 	outs, errs := ses.ForwardBatch(xs, streams)
 	for i := range outs {
 		if errs[i] != nil {

@@ -36,7 +36,7 @@ type Config struct {
 	// N is the replica count R; 1 (or 0) means no replication.
 	N int
 	// VoteThreshold is how many consecutive flagged (detected-uncorrectable)
-	// MVMs a layer must accumulate in one session before its reads
+	// MVMs a layer must accumulate in one router before its reads
 	// majority-vote across 3 replicas; 0 disables voting.
 	VoteThreshold int
 	// VoteTolerance is the relative deviation from the element-wise median

@@ -1,4 +1,4 @@
-package replica
+package replica_test
 
 import (
 	"math/rand/v2"
@@ -8,6 +8,8 @@ import (
 	"repro/internal/crossbar"
 	"repro/internal/fault"
 	"repro/internal/nn"
+	"repro/internal/replica"
+	"repro/internal/shard"
 )
 
 // quietEngine maps a small network with every noise source zeroed, so any
@@ -78,22 +80,25 @@ func reference(t *testing.T, streams []uint64) map[uint64][]float64 {
 	return out
 }
 
-func TestConfigValidate(t *testing.T) {
-	cases := []struct {
-		name string
-		cfg  Config
-		ok   bool
-	}{
-		{"ok", Config{N: 3, VoteThreshold: 2}, true},
-		{"too many", Config{N: maxReplicas + 1}, false},
-		{"negative threshold", Config{N: 2, VoteThreshold: -1}, false},
-		{"negative tolerance", Config{N: 2, VoteTolerance: -0.5}, false},
+// routedSet builds a one-shard pool over eng — the pool session is the
+// only routed walk — and returns it with the shard's replica set.
+func routedSet(t *testing.T, eng *accel.Engine, cfg replica.Config) (*shard.Pool, *replica.Set) {
+	t.Helper()
+	pool, err := shard.NewPool(eng, shard.Config{N: 1, Replicas: cfg})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, c := range cases {
-		if err := c.cfg.Validate(); (err == nil) != c.ok {
-			t.Errorf("%s: Validate() = %v, want ok=%v", c.name, err, c.ok)
-		}
+	return pool, pool.Shard(0).Set()
+}
+
+// forward runs one routed pass of a lone image under stream: a batch of one.
+func forward(t *testing.T, ses *shard.Session, stream uint64, x *nn.Tensor) *nn.Tensor {
+	t.Helper()
+	outs, errs := ses.ForwardBatch([]*nn.Tensor{x}, []uint64{stream})
+	if errs[0] != nil {
+		t.Fatal(errs[0])
 	}
+	return outs[0]
 }
 
 // TestHealthyReplicasBitIdentical: on quiet hardware the routed output is
@@ -101,16 +106,12 @@ func TestConfigValidate(t *testing.T) {
 // the rotation lands on, and load spreads across every copy.
 func TestHealthyReplicasBitIdentical(t *testing.T) {
 	eng := quietEngine(t)
-	set, err := NewSet(eng, Config{N: 3, Monitor: testMonitor()})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pool, set := routedSet(t, eng, replica.Config{N: 3, Monitor: testMonitor()})
 	streams := []uint64{1, 2, 3, 4, 5, 6, 7, 8}
 	want := reference(t, streams)
-	sess := set.NewSession(1)
+	sess := pool.NewSession(1)
 	for _, stream := range streams {
-		sess.Reseed(stream)
-		got := sess.Forward(testInput(stream))
+		got := forward(t, sess, stream, testInput(stream))
 		for i, w := range want[stream] {
 			if got.Data[i] != w {
 				t.Fatalf("stream %d output %d: %g, want %g", stream, i, got.Data[i], w)
@@ -140,20 +141,16 @@ func TestHealthyReplicasBitIdentical(t *testing.T) {
 // the router steers every MVM to its siblings.
 func TestRoutingAvoidsOpenBreaker(t *testing.T) {
 	eng := quietEngine(t)
-	set, err := NewSet(eng, Config{N: 2, Monitor: testMonitor()})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pool, set := routedSet(t, eng, replica.Config{N: 2, Monitor: testMonitor()})
 	for _, layer := range eng.Layers() {
 		set.Monitor(1).ObserveOne(layer, accel.Stats{Detected: 64})
 	}
 	if open := set.OpenFor(eng.Layers()[0]); len(open) != 1 || open[0] != 1 {
 		t.Fatalf("OpenFor = %v, want [1]", open)
 	}
-	sess := set.NewSession(1)
+	sess := pool.NewSession(1)
 	for stream := uint64(1); stream <= 6; stream++ {
-		sess.Reseed(stream)
-		sess.Forward(testInput(stream))
+		forward(t, sess, stream, testInput(stream))
 	}
 	st := set.Status()
 	if st.Replicas[1].Routed != 0 {
@@ -173,20 +170,16 @@ func TestRoutingAvoidsOpenBreaker(t *testing.T) {
 // hardware.
 func TestFailoverToSibling(t *testing.T) {
 	eng := quietEngine(t)
-	set, err := NewSet(eng, Config{N: 2, Monitor: testMonitor()})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pool, set := routedSet(t, eng, replica.Config{N: 2, Monitor: testMonitor()})
 	saturate(t, set.Engine(1), 0)
 	streams := make([]uint64, 16)
 	for i := range streams {
 		streams[i] = uint64(i + 1)
 	}
 	want := reference(t, streams)
-	sess := set.NewSession(1)
+	sess := pool.NewSession(1)
 	for _, stream := range streams {
-		sess.Reseed(stream)
-		got := sess.Forward(testInput(stream))
+		got := forward(t, sess, stream, testInput(stream))
 		for i, w := range want[stream] {
 			if got.Data[i] != w {
 				t.Fatalf("stream %d output %d: %g, want %g", stream, i, got.Data[i], w)
@@ -204,20 +197,16 @@ func TestFailoverToSibling(t *testing.T) {
 // is tallied as disagreements.
 func TestMajorityVoteOutvotesDamagedCopy(t *testing.T) {
 	eng := quietEngine(t)
-	set, err := NewSet(eng, Config{N: 3, VoteThreshold: 1, Monitor: testMonitor()})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pool, set := routedSet(t, eng, replica.Config{N: 3, VoteThreshold: 1, Monitor: testMonitor()})
 	saturate(t, set.Engine(1), 0)
 	streams := make([]uint64, 12)
 	for i := range streams {
 		streams[i] = uint64(i + 1)
 	}
 	want := reference(t, streams)
-	sess := set.NewSession(1)
+	sess := pool.NewSession(1)
 	for _, stream := range streams {
-		sess.Reseed(stream)
-		got := sess.Forward(testInput(stream))
+		got := forward(t, sess, stream, testInput(stream))
 		for i, w := range want[stream] {
 			if got.Data[i] != w {
 				t.Fatalf("stream %d output %d: %g, want %g", stream, i, got.Data[i], w)
@@ -238,10 +227,7 @@ func TestMajorityVoteOutvotesDamagedCopy(t *testing.T) {
 // so it re-earns trust from fresh evidence.
 func TestDetachAttachSemantics(t *testing.T) {
 	eng := quietEngine(t)
-	set, err := NewSet(eng, Config{N: 2, Monitor: testMonitor()})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pool, set := routedSet(t, eng, replica.Config{N: 2, Monitor: testMonitor()})
 	if err := set.Detach(5); err == nil {
 		t.Fatal("detaching a replica out of range must fail")
 	}
@@ -259,10 +245,9 @@ func TestDetachAttachSemantics(t *testing.T) {
 	}
 
 	// Traffic keeps flowing on the sibling alone.
-	sess := set.NewSession(1)
+	sess := pool.NewSession(1)
 	for stream := uint64(1); stream <= 4; stream++ {
-		sess.Reseed(stream)
-		sess.Forward(testInput(stream))
+		forward(t, sess, stream, testInput(stream))
 	}
 	st := set.Status()
 	if st.Replicas[0].Routed != 0 {
@@ -291,10 +276,7 @@ func TestDetachAttachSemantics(t *testing.T) {
 // layer, so it must flip on every copy at once.
 func TestSetFallbackReachesEveryReplica(t *testing.T) {
 	eng := quietEngine(t)
-	set, err := NewSet(eng, Config{N: 2, Monitor: testMonitor()})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, set := routedSet(t, eng, replica.Config{N: 2, Monitor: testMonitor()})
 	if err := set.SetFallback(0, true); err != nil {
 		t.Fatal(err)
 	}

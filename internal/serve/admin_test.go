@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/accel"
 )
@@ -203,6 +204,95 @@ func TestAdminModelRegistry(t *testing.T) {
 	}
 	if models = listModels(); len(models) != 1 {
 		t.Fatalf("after evict: %+v", models)
+	}
+}
+
+// TestAdminLoadDoesNotBlockPredict: a model load trains and maps outside
+// the registry lock, so while a loader is parked the primary keeps
+// answering predicts and the registry keeps listing. Two concurrent loads
+// of one name still register one entry and refuse the other with a 409,
+// and the loser's pool is closed rather than leaked.
+func TestAdminLoadDoesNotBlockPredict(t *testing.T) {
+	before := settledGoroutines()
+	primaryEng, primaryNet := shardTestEngine(t)
+	loaded := make(chan *accel.Engine, 2)
+	for i := 0; i < cap(loaded); i++ {
+		eng, _ := shardTestEngine(t)
+		loaded <- eng
+	}
+	entered, release := make(chan struct{}, 2), make(chan struct{})
+	cfg := shardTestConfig(1)
+	cfg.Admin = AdminConfig{
+		Enabled: true,
+		Loader: func(name string) (*accel.Engine, Model, error) {
+			entered <- struct{}{}
+			<-release
+			return <-loaded, Model{Name: name, InShape: primaryNet.InShape}, nil
+		},
+	}
+	srv, err := NewServer(primaryEng, Model{Name: primaryNet.Name, InShape: primaryNet.InShape}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	codes := make(chan int, 2)
+	load := func() {
+		req := httptest.NewRequest(http.MethodPost, "/admin/models", strings.NewReader(`{"action":"load","model":"second"}`))
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, req)
+		codes <- rec.Code
+	}
+	parked := func(what string) {
+		t.Helper()
+		select {
+		case <-entered:
+		case <-time.After(10 * time.Second):
+			close(release)
+			t.Fatalf("%s never reached the loader: a load holds the registry lock", what)
+		}
+	}
+	go load()
+	parked("the first load")
+
+	// The loader is parked: the primary and the registry must answer.
+	done := make(chan int, 2)
+	go func() { done <- postPredict(t, srv, fmt.Sprintf(`{"image": %s, "seed": 3}`, shardImageJSON(3))).Code }()
+	go func() {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/admin/models", nil))
+		done <- rec.Code
+	}()
+	for i := 0; i < 2; i++ {
+		select {
+		case code := <-done:
+			if code != http.StatusOK {
+				t.Errorf("request during a parked load: %d, want 200", code)
+			}
+		case <-time.After(10 * time.Second):
+			close(release)
+			t.Fatal("a predict or list waited on a parked model load")
+		}
+	}
+
+	// A second load of the same name reaches the loader too; only one
+	// registers.
+	go load()
+	parked("a concurrent load of the same name")
+	close(release)
+	got := map[int]int{}
+	for i := 0; i < 2; i++ {
+		got[<-codes]++
+	}
+	if got[http.StatusOK] != 1 || got[http.StatusConflict] != 1 {
+		t.Fatalf("concurrent duplicate loads answered %v, want one 200 and one 409", got)
+	}
+	if models := srv.reg.list(); len(models) != 2 || models[1].Name != "second" {
+		t.Fatalf("after concurrent loads: %+v", models)
+	}
+	if _, err := srv.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if after := settledGoroutines(); after > before {
+		t.Fatalf("%d goroutines outlive the server, %d before it: the losing load's pool leaked", after, before)
 	}
 }
 

@@ -371,18 +371,15 @@ func (c *controller) predictAndPreempt() string {
 // rotate out the sickest copy on the worst-measured layer. Returns replicas
 // repaired and verified clean.
 func (s *Scheduler) proactiveRepair() int {
-	s.escMu.Lock()
-	defer s.escMu.Unlock()
-	repaired := 0
-	open := s.openReplicaLayers()
-	for _, layer := range open {
-		repaired += s.repairSetLayer(s.setFor(layer), layer, true)
+	open, repaired := s.repairOpenCopies()
+	if len(open) > 0 {
+		return repaired
 	}
-	if len(open) == 0 {
-		if layer, ok := s.worstMeasuredLayer(); ok {
-			if set := s.setFor(layer); set != nil {
-				repaired += s.repairSetLayer(set, layer, false)
-			}
+	if layer, ok := s.worstMeasuredLayer(); ok {
+		if set := s.setFor(layer); set != nil {
+			s.escMu.Lock()
+			repaired += s.repairSetLayer(set, layer, false)
+			s.escMu.Unlock()
 		}
 	}
 	return repaired

@@ -110,7 +110,8 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "GET only", http.StatusMethodNotAllowed)
 		return
 	}
-	plan, rates, err := s.sched.livePlan()
+	sched := s.Scheduler()
+	plan, rates, err := sched.livePlan()
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
@@ -121,10 +122,10 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 			measured++
 		}
 	}
-	eng := s.sched.Engine()
-	slo := s.sched.cfg.Plan.SLO
+	eng := sched.Engine()
+	slo := sched.cfg.Plan.SLO
 	resp := planResponse{
-		Workload:        s.model.Name,
+		Workload:        s.reg.primary.model.Name,
 		Device:          eng.Config().DeviceName,
 		Deployed:        eng.Config().Scheme.Name,
 		SLOMaxMiss:      slo.MaxMiss,

@@ -30,15 +30,12 @@ type RecoveryConfig struct {
 	// before concluding the fault is persistent. Default 2.
 	RetryAttempts int
 	// RetryBackoff is the base pause before the first retry; each further
-	// attempt doubles it (capped at RetryBackoffMax) and adds uniform
+	// attempt doubles it (capped at 8x RetryBackoff) and adds uniform
 	// jitter up to the doubled value, so a burst of tripped workers does
 	// not hammer a struggling layer in lockstep. The jitter RNG is seeded
 	// from (request seed, attempt), so sleep lengths are deterministic in
 	// tests. Default 2ms; negative disables.
 	RetryBackoff time.Duration
-	// RetryBackoffMax caps the exponential growth of the retry pause.
-	// Default 8x RetryBackoff.
-	RetryBackoffMax time.Duration
 	// MaxRemaps bounds rung 2: how many times a layer may be
 	// re-programmed onto spare arrays over its lifetime before the ladder
 	// stops trusting crossbars and degrades it to the software path.
@@ -52,9 +49,6 @@ func (c RecoveryConfig) withDefaults() RecoveryConfig {
 	}
 	if c.RetryBackoff == 0 {
 		c.RetryBackoff = 2 * time.Millisecond
-	}
-	if c.RetryBackoffMax == 0 {
-		c.RetryBackoffMax = 8 * c.RetryBackoff
 	}
 	if c.MaxRemaps == 0 {
 		c.MaxRemaps = 1
@@ -260,18 +254,23 @@ func (s *Scheduler) openReplicaLayers() []int {
 	return sick
 }
 
-// maintainReplicas repairs, for each tripped layer, any replica whose own
-// routing breaker is open — the background half of spatial recovery, run
-// once the request itself has a clean answer. A layer with no open routing
-// breaker is skipped without taking escMu.
-func (s *Scheduler) maintainReplicas(open []int) {
+// repairOpenCopies repairs every copy whose own routing breaker is open,
+// in every set with a sibling to repair from: the shared half of spatial
+// recovery, run per request by the ladder once the request has a clean
+// answer, and per tick by the controller. escMu is taken per layer, and
+// only for a layer that still has an open copy, so a pool with no
+// multi-copy set never takes it. Returns the open layers found and the
+// copies repaired and verified clean.
+func (s *Scheduler) repairOpenCopies() (open []int, repaired int) {
+	open = s.openReplicaLayers()
 	for _, layer := range open {
 		if set := s.setFor(layer); set != nil && len(set.OpenFor(layer)) > 0 {
 			s.escMu.Lock()
-			s.repairSetLayer(set, layer, true)
+			repaired += s.repairSetLayer(set, layer, true)
 			s.escMu.Unlock()
 		}
 	}
+	return open, repaired
 }
 
 // repairSetLayer runs the detach → remap → verify → rejoin cycle on the
@@ -314,7 +313,7 @@ func (s *Scheduler) repairSetLayer(set *replica.Set, layer int, openOnly bool) i
 // backoff sleeps the jittered exponential retry pause (tests with
 // RetryBackoff < 0 skip sleeping entirely).
 func (s *Scheduler) backoff(attempt int, seed uint64) {
-	if d := backoffDelay(s.rec.cfg.RetryBackoff, s.rec.cfg.RetryBackoffMax, attempt, seed); d > 0 {
+	if d := backoffDelay(s.rec.cfg.RetryBackoff, 8*s.rec.cfg.RetryBackoff, attempt, seed); d > 0 {
 		time.Sleep(d)
 	}
 }

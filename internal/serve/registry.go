@@ -22,76 +22,93 @@ type Loader func(name string) (*accel.Engine, Model, error)
 // shard/replica topology the template config asks for) and its input
 // contract.
 type modelEntry struct {
-	model   Model
-	sched   *Scheduler
-	inLen   int
-	primary bool
+	model Model
+	sched *Scheduler
+	inLen int
 }
 
 // registry is the workload directory fronting the scheduler pools: the
 // primary (boot-time) model plus anything loaded through /admin/models.
-// Lookups are per request; loads and evicts are rare operator actions.
+// Lookups are per request; loads and evicts are rare operator actions, and
+// neither trains nor maps under the lock.
 type registry struct {
 	mu       sync.Mutex
 	template Config
 	loader   Loader
 	entries  map[string]*modelEntry
-	primary  string
+	// primary is the first model added; it is set before the server
+	// serves and never evicted.
+	primary *modelEntry
 }
 
-func newRegistry(template Config, loader Loader, name string, primary *modelEntry) *registry {
-	primary.primary = true
-	return &registry{
-		template: template,
-		loader:   loader,
-		entries:  map[string]*modelEntry{name: primary},
-		primary:  name,
-	}
+func newRegistry(template Config, loader Loader) *registry {
+	return &registry{template: template, loader: loader, entries: map[string]*modelEntry{}}
 }
 
 // lookup resolves a model name ("" = the primary model).
 func (r *registry) lookup(name string) (*modelEntry, bool) {
+	if name == "" {
+		return r.primary, true
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if name == "" {
-		name = r.primary
-	}
 	ent, ok := r.entries[name]
 	return ent, ok
 }
 
-// load builds and registers a named workload through the injected Loader.
-// The new pool gets the primary's template configuration minus persistence:
-// one state directory belongs to one lifetime trajectory, so only the
-// primary model snapshots.
-func (r *registry) load(name string) error {
+// add checks a model's input contract, then starts its scheduler pool, and
+// registers it under name. The pool starts outside the lock, so a racing
+// add of the same name may lose: its pool is closed and the add refused.
+// The first model added is the primary.
+func (r *registry) add(name string, eng *accel.Engine, model Model, cfg Config) error {
+	inLen := 1
+	for _, d := range model.InShape {
+		inLen *= d
+	}
+	if len(model.InShape) == 0 || inLen <= 0 {
+		return fmt.Errorf("serve: model %q has no input shape", name)
+	}
+	sched, err := NewScheduler(eng, cfg)
+	if err != nil {
+		return fmt.Errorf("serve: starting pool for model %q: %w", name, err)
+	}
+	ent := &modelEntry{model: model, sched: sched, inLen: inLen}
 	r.mu.Lock()
-	defer r.mu.Unlock()
+	_, dup := r.entries[name]
+	if !dup {
+		r.entries[name] = ent
+		if r.primary == nil {
+			r.primary = ent
+		}
+	}
+	r.mu.Unlock()
+	if dup {
+		// The losing pool never took a request, so its drain is immediate
+		// and its summary empty.
+		_, _ = sched.Close(context.Background())
+		return fmt.Errorf("serve: model %q is already loaded", name)
+	}
+	return nil
+}
+
+// load builds a named workload through the injected Loader and registers
+// it. The new pool gets the primary's template configuration minus
+// persistence: one state directory belongs to one lifetime trajectory, so
+// only the primary model snapshots.
+func (r *registry) load(name string) error {
 	if r.loader == nil {
 		return fmt.Errorf("serve: no workload loader is configured")
 	}
-	if _, ok := r.entries[name]; ok {
+	if _, ok := r.lookup(name); ok {
 		return fmt.Errorf("serve: model %q is already loaded", name)
 	}
 	eng, model, err := r.loader(name)
 	if err != nil {
 		return fmt.Errorf("serve: loading model %q: %w", name, err)
 	}
-	inLen := 1
-	for _, d := range model.InShape {
-		inLen *= d
-	}
-	if len(model.InShape) == 0 || inLen <= 0 {
-		return fmt.Errorf("serve: loaded model %q has no input shape", name)
-	}
 	cfg := r.template
 	cfg.Persist = PersistConfig{}
-	sched, err := NewScheduler(eng, cfg)
-	if err != nil {
-		return fmt.Errorf("serve: starting pool for model %q: %w", name, err)
-	}
-	r.entries[name] = &modelEntry{model: model, sched: sched, inLen: inLen}
-	return nil
+	return r.add(name, eng, model, cfg)
 }
 
 // evict drains and removes a loaded model. The primary model is refused —
@@ -100,7 +117,7 @@ func (r *registry) load(name string) error {
 func (r *registry) evict(ctx context.Context, name string) error {
 	r.mu.Lock()
 	ent, ok := r.entries[name]
-	if ok && ent.primary {
+	if ok && ent == r.primary {
 		r.mu.Unlock()
 		return fmt.Errorf("serve: model %q is the primary workload and cannot be evicted", name)
 	}
@@ -120,7 +137,7 @@ func (r *registry) closeLoaded(ctx context.Context) {
 	r.mu.Lock()
 	var loaded []*modelEntry
 	for name, ent := range r.entries {
-		if !ent.primary {
+		if ent != r.primary {
 			loaded = append(loaded, ent)
 			delete(r.entries, name)
 		}
@@ -149,7 +166,7 @@ func (r *registry) list() []ModelInfo {
 	for name, ent := range r.entries {
 		info := ModelInfo{
 			Name:    name,
-			Primary: ent.primary,
+			Primary: ent == r.primary,
 			Workers: ent.sched.Workers(),
 			Served:  ent.sched.Served(),
 		}

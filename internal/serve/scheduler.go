@@ -288,9 +288,9 @@ func (s *Scheduler) Canceled() uint64 { return s.canceled.Load() }
 
 // newSession builds one worker's evaluation stream — the only place the
 // data path looks at the topology. A bare pool evaluates on the engine's
-// own session, which carries one noise stream across layers; shard and
-// replica sessions key each layer's stream apart (stream ^ (layer+1)<<40)
-// so routing never moves a draw. The two give different logits, and the
+// own session, which carries one noise stream across layers; the shard
+// pool session's routers key each layer's stream apart
+// (stream ^ (layer+1)<<40) so routing never moves a draw. The two give different logits, and the
 // goldens and the replay checks pin the engine stream.
 func (s *Scheduler) newSession(id uint64) session {
 	if s.bare() {
@@ -613,9 +613,7 @@ func (s *Scheduler) ladder(w *workerState, j *job, pred Prediction) (Prediction,
 			}
 		}
 	}
-	if sick := s.openReplicaLayers(); len(sick) > 0 {
-		s.maintainReplicas(sick)
-	}
+	s.repairOpenCopies()
 	if pred.Stats.SoftMVMs > 0 {
 		pred.Degraded = s.eng.DegradedLayers()
 	}

@@ -32,10 +32,7 @@ type Model struct {
 // GET /readyz (readiness), GET /metrics, and — when AdminConfig.Enabled —
 // the /admin operator surface (shard maintenance and the workload registry).
 type Server struct {
-	sched   *Scheduler
 	metrics *Metrics
-	model   Model
-	inLen   int
 	mux     *http.ServeMux
 	ready   atomic.Bool
 	reg     *registry
@@ -44,19 +41,10 @@ type Server struct {
 // NewServer builds the scheduler pool over a mapped engine and wires the
 // routes.
 func NewServer(eng *accel.Engine, model Model, cfg Config) (*Server, error) {
-	sched, err := NewScheduler(eng, cfg)
-	if err != nil {
+	s := &Server{metrics: newMetrics(), mux: http.NewServeMux(), reg: newRegistry(cfg, cfg.Admin.Loader)}
+	if err := s.reg.add(model.Name, eng, model, cfg); err != nil {
 		return nil, err
 	}
-	inLen := 1
-	for _, d := range model.InShape {
-		inLen *= d
-	}
-	if len(model.InShape) == 0 || inLen <= 0 {
-		return nil, fmt.Errorf("serve: model %q has no input shape", model.Name)
-	}
-	s := &Server{sched: sched, metrics: newMetrics(), model: model, inLen: inLen, mux: http.NewServeMux()}
-	s.reg = newRegistry(cfg, cfg.Admin.Loader, model.Name, &modelEntry{model: model, sched: sched, inLen: inLen})
 	s.mux.HandleFunc("/v1/predict", s.handlePredict)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/readyz", s.handleReadyz)
@@ -84,8 +72,8 @@ func NewServer(eng *accel.Engine, model Model, cfg Config) (*Server, error) {
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// Scheduler exposes the pool (benchmarks and telemetry).
-func (s *Server) Scheduler() *Scheduler { return s.sched }
+// Scheduler exposes the primary model's pool (benchmarks and telemetry).
+func (s *Server) Scheduler() *Scheduler { return s.reg.primary.sched }
 
 // Metrics exposes the telemetry accumulator.
 func (s *Server) Metrics() *Metrics { return s.metrics }
@@ -97,7 +85,7 @@ func (s *Server) Metrics() *Metrics { return s.metrics }
 func (s *Server) Shutdown(ctx context.Context) (DrainSummary, error) {
 	s.ready.Store(false)
 	s.reg.closeLoaded(ctx)
-	return s.sched.Close(ctx)
+	return s.Scheduler().Close(ctx)
 }
 
 // predictRequest is the POST /v1/predict body. Exactly one of Image or
@@ -286,7 +274,7 @@ type persistJSON struct {
 // persistRow builds the shared /healthz//readyz persist annotation, nil when
 // persistence is disabled.
 func (s *Server) persistRow() *persistJSON {
-	ps, ok := s.sched.PersistStatus()
+	ps, ok := s.Scheduler().PersistStatus()
 	if !ok {
 		return nil
 	}
@@ -301,15 +289,16 @@ func (s *Server) persistRow() *persistJSON {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	cfg := s.sched.Engine().Config()
+	sched := s.Scheduler()
+	cfg := sched.Engine().Config()
 	resp := healthzResponse{
 		Status:   "ok",
-		Workload: s.model.Name,
+		Workload: s.reg.primary.model.Name,
 		Scheme:   cfg.Scheme.Name,
 		Device:   cfg.DeviceName,
 		Bits:     cfg.Device.BitsPerCell,
-		Workers:  s.sched.Workers(),
-		Queue:    s.sched.QueueDepth(),
+		Workers:  sched.Workers(),
+		Queue:    sched.QueueDepth(),
 		Persist:  s.persistRow(),
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -392,26 +381,27 @@ type replicaJSON struct {
 }
 
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
+	sched := s.Scheduler()
 	resp := readyzResponse{
 		Draining:       !s.ready.Load(),
-		Device:         s.sched.Engine().Config().DeviceName,
-		QueueLen:       s.sched.QueueLen(),
-		QueueDepth:     s.sched.QueueDepth(),
-		DegradedLayers: s.sched.Engine().DegradedLayers(),
+		Device:         sched.Engine().Config().DeviceName,
+		QueueLen:       sched.QueueLen(),
+		QueueDepth:     sched.QueueDepth(),
+		DegradedLayers: sched.Engine().DegradedLayers(),
 	}
-	for _, h := range s.sched.Health() {
+	for _, h := range sched.Health() {
 		if h.State == fault.BreakerOpen {
 			resp.BreakerOpen = append(resp.BreakerOpen, h.Layer)
 		}
 	}
-	if st, ok := s.sched.ScrubStatus(); ok {
+	if st, ok := sched.ScrubStatus(); ok {
 		resp.ScrubOldestAgeSec = st.OldestAge.Seconds()
 		resp.ScrubStale = st.Stale
 	}
-	if pool := s.sched.ShardPool(); pool != nil {
+	if pool := sched.ShardPool(); pool != nil {
 		resp.Shards = pool.Status()
 	}
-	if set := s.sched.ReplicaSet(); set != nil {
+	if set := sched.ReplicaSet(); set != nil {
 		for _, rs := range set.Status().Replicas {
 			resp.Replicas = append(resp.Replicas, replicaJSON{
 				ID: rs.ID, Attached: rs.Attached,
@@ -421,7 +411,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 			})
 		}
 	}
-	if cs, ok := s.sched.ControllerStatus(); ok {
+	if cs, ok := sched.ControllerStatus(); ok {
 		cj := &controllerJSON{
 			Level:            cs.Level,
 			MaxLevel:         cs.MaxLevel,
@@ -444,37 +434,38 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	sched := s.Scheduler()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	cfg := s.sched.Engine().Config()
+	cfg := sched.Engine().Config()
 	g := GaugeView{
-		QueueDepth:     s.sched.QueueLen(),
-		Workers:        s.sched.Workers(),
-		Health:         s.sched.Health(),
-		DegradedLayers: s.sched.Engine().DegradedLayers(),
-		Recovery:       s.sched.RecoveryCounters(),
-		Batch:          s.sched.BatchStatus(),
+		QueueDepth:     sched.QueueLen(),
+		Workers:        sched.Workers(),
+		Health:         sched.Health(),
+		DegradedLayers: sched.Engine().DegradedLayers(),
+		Recovery:       sched.RecoveryCounters(),
+		Batch:          sched.BatchStatus(),
 		Device:         cfg.DeviceName,
 		Scheme:         cfg.Scheme.Name,
 	}
-	if cs, ok := s.sched.ControllerStatus(); ok {
+	if cs, ok := sched.ControllerStatus(); ok {
 		g.Controller = &cs
 	}
-	verify := s.sched.Engine().VerifyStats()
-	if st, ok := s.sched.ScrubStatus(); ok {
+	verify := sched.Engine().VerifyStats()
+	if st, ok := sched.ScrubStatus(); ok {
 		g.Scrub = &st
 		verify.Merge(st.Totals.Verify)
 	}
 	if verify.Cells > 0 {
 		g.Verify = &verify
 	}
-	if pool := s.sched.ShardPool(); pool != nil {
+	if pool := sched.ShardPool(); pool != nil {
 		g.Shards = pool.Status()
 	}
-	if set := s.sched.ReplicaSet(); set != nil {
+	if set := sched.ReplicaSet(); set != nil {
 		st := set.Status()
 		g.Replicas = &st
 	}
-	if ps, ok := s.sched.PersistStatus(); ok {
+	if ps, ok := sched.PersistStatus(); ok {
 		g.Persist = &ps
 	}
 	s.metrics.WritePrometheus(w, g)

@@ -24,6 +24,20 @@ func testServer(t *testing.T, failureRate float64, cfg Config) *Server {
 	return srv
 }
 
+// TestNewServerShapelessModelStartsNoWorkers: the input contract is
+// checked before the primary's pool starts, so a model with no input shape
+// is refused without leaving workers behind.
+func TestNewServerShapelessModelStartsNoWorkers(t *testing.T) {
+	eng, net := testEngine(t, 0)
+	before := settledGoroutines()
+	if _, err := NewServer(eng, Model{Name: net.Name}, Config{Workers: 3}); err == nil {
+		t.Fatal("NewServer accepted a model with no input shape")
+	}
+	if after := settledGoroutines(); after > before {
+		t.Fatalf("a refused NewServer left %d goroutines running, %d before it", after, before)
+	}
+}
+
 func postPredict(t *testing.T, srv *Server, body string) *httptest.ResponseRecorder {
 	t.Helper()
 	req := httptest.NewRequest(http.MethodPost, "/v1/predict", bytes.NewBufferString(body))

@@ -23,7 +23,6 @@ import (
 	"fmt"
 
 	"repro/internal/accel"
-	"repro/internal/nn"
 	"repro/internal/noise"
 	"repro/internal/replica"
 )
@@ -60,7 +59,6 @@ func (c Config) Validate() error {
 // table that routes each mapped layer to its owning shard.
 type Pool struct {
 	primary *accel.Engine
-	net     *nn.Network
 	shards  []*Shard
 	// owner maps layer index -> owning shard id (-1 for unmapped layers);
 	// dense so the per-MVM route is a bounds check, like engine slots.
@@ -83,12 +81,10 @@ func NewPool(primary *accel.Engine, cfg Config) (*Pool, error) {
 	if len(layers) < cfg.N {
 		return nil, fmt.Errorf("shard: %d shards over %d mapped layers — a shard must own at least one layer", cfg.N, len(layers))
 	}
-	net := primary.Network()
 	p := &Pool{
 		primary: primary,
-		net:     net,
 		shards:  make([]*Shard, cfg.N),
-		owner:   make([]int, len(net.Layers)),
+		owner:   make([]int, len(primary.Network().Layers)),
 		layers:  layers,
 	}
 	for i := range p.owner {
@@ -137,10 +133,6 @@ func (p *Pool) Owner(layer int) *Shard {
 
 // Layers returns every mapped layer in ascending order.
 func (p *Pool) Layers() []int { return p.layers }
-
-// Network returns the partitioned network (read-only while sessions are
-// live).
-func (p *Pool) Network() *nn.Network { return p.net }
 
 // Retune applies an environment-adjusted device model to every shard's
 // every replica — the environment is shared by all physical tiles.

@@ -8,78 +8,65 @@ import (
 	"repro/internal/replica"
 )
 
-// Session is one concurrent evaluation stream over the pool: one replica
-// session per shard plus a lockstep walk over per-lane clones of the full
-// network. Each layer MVM is delegated to the owning shard's session, so
-// routing, failover, and voting happen inside the fault domain that owns
-// the layer. A lone image is a batch of one. Like the sessions underneath
-// it must be driven from a single goroutine.
+// Session is one concurrent evaluation stream over the pool and the only
+// routed forward pass: one accel.Session per copy per shard, a replica
+// router per shard over that shard's copies, and a lockstep walk over
+// per-lane clones of the full network. Each layer MVM is delegated to the
+// owning shard's router, so routing, failover, and voting happen inside
+// the fault domain that owns the layer. A lone image is a batch of one.
+// Like the sessions underneath it must be driven from a single goroutine.
 type Session struct {
-	pool *Pool
-	subs []*replica.Session // by shard
-	fb   *nn.ForwardBatcher
-	// stream is the serial request stream set by Reseed.
-	stream uint64
-	one    [1]*nn.Tensor
-	oneStr [1]uint64
-	tmp    map[int]accel.Stats
+	pool    *Pool
+	routers []*replica.Router // by shard
+	subs    []*accel.Session  // every copy of every shard, shard-major
+	fb      *nn.ForwardBatcher
+	tmp     map[int]accel.Stats
 }
 
 // NewSession creates an evaluation stream across every shard.
 func (p *Pool) NewSession(seed uint64) *Session {
 	s := &Session{
-		pool: p,
-		subs: make([]*replica.Session, len(p.shards)),
-		fb:   nn.NewForwardBatcher(p.primary.Network(), p.layers),
-		tmp:  make(map[int]accel.Stats),
+		pool:    p,
+		routers: make([]*replica.Router, len(p.shards)),
+		fb:      nn.NewForwardBatcher(p.primary.Network(), p.layers),
+		tmp:     make(map[int]accel.Stats),
 	}
 	for i, sh := range p.shards {
-		s.subs[i] = sh.set.NewSession(seed)
+		copies := make([]*accel.Session, sh.set.Size())
+		for r := range copies {
+			copies[r] = sh.set.Engine(r).NewSession(seed)
+		}
+		s.routers[i] = sh.set.NewRouter(copies)
+		s.subs = append(s.subs, copies...)
 	}
 	return s
 }
 
-// Reseed repoints the serial request stream. Each shard derives the same
-// per-layer sub-streams the monolithic session would, so the evaluation
-// stays a pure function of (engines, stream, input) regardless of the
-// shard count.
-func (s *Session) Reseed(stream uint64) { s.stream = stream }
-
-// Forward runs one routed inference pass across the shards under the
-// Reseed stream: a walk of one lane. The returned tensor is owned by the
-// session and valid until the next pass. A malformed input panics.
-func (s *Session) Forward(x *nn.Tensor) *nn.Tensor {
-	s.one[0], s.oneStr[0] = x, s.stream
-	outs, errs := s.ForwardBatch(s.one[:], s.oneStr[:])
-	if errs[0] != nil {
-		panic(errs[0])
-	}
-	return outs[0]
-}
-
 // ForwardBatch runs one routed noisy inference per input, batched: images
 // advance in lockstep through the full network and each layer's MVMs are
-// delegated to the shard owning that layer, which evaluates them with the
-// same per-replica grouping, failover, and voting as a bare replica set.
-// streams[i] plays the role of Reseed(streams[i]) for image i. Outputs are
-// valid until the session's next pass.
+// delegated to the router of the shard owning that layer. streams[i] is
+// image i's request stream; each shard derives the same per-layer
+// sub-streams whatever the shard count, so the evaluation stays a pure
+// function of (engines, stream, input). Outputs are valid until the
+// session's next pass. errs[i] is non-nil (and outs[i] nil) when image i
+// alone failed; batchmates are unaffected.
 func (s *Session) ForwardBatch(xs []*nn.Tensor, streams []uint64) ([]*nn.Tensor, []error) {
 	if len(streams) != len(xs) {
 		panic(fmt.Sprintf("shard: %d inputs, %d streams", len(xs), len(streams)))
 	}
-	for _, sub := range s.subs {
-		sub.BeginBatch(streams)
+	for _, r := range s.routers {
+		r.BeginBatch(streams)
 	}
 	return s.fb.Run(xs, s.batchMVM)
 }
 
 // batchMVM routes one layer's MVMs to the owning shard.
 func (s *Session) batchMVM(layer int, idx []int, xs [][]float64) ([][]float64, []error) {
-	return s.subs[s.pool.owner[layer]].BatchMVM(layer, idx, xs)
+	return s.routers[s.pool.owner[layer]].BatchMVM(layer, idx, xs)
 }
 
-// DrainBatchStats returns lane i's stats summed across every shard since
-// the last drain and resets them.
+// DrainBatchStats returns lane i's stats summed across every copy of every
+// shard since the last drain and resets them.
 func (s *Session) DrainBatchStats(i int) accel.Stats {
 	var st accel.Stats
 	for _, sub := range s.subs {
@@ -89,9 +76,8 @@ func (s *Session) DrainBatchStats(i int) accel.Stats {
 }
 
 // DrainBatchLayerStatsInto drains lane i's per-layer stats, merged across
-// shards, into the caller-owned map (cleared first). Shards own disjoint
-// layers, so the merge is a union. Call it before DrainBatchStats for the
-// same lane.
+// every copy of every shard, into the caller-owned map (cleared first).
+// Call it before DrainBatchStats for the same lane.
 func (s *Session) DrainBatchLayerStatsInto(i int, out map[int]accel.Stats) {
 	clear(out)
 	for _, sub := range s.subs {

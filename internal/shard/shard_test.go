@@ -55,6 +55,16 @@ func testInput(seed uint64) *nn.Tensor {
 	return nn.FromSlice(x, 16)
 }
 
+// forward runs one routed pass of a lone image under stream: a batch of one.
+func forward(t *testing.T, ses *Session, stream uint64, x *nn.Tensor) *nn.Tensor {
+	t.Helper()
+	outs, errs := ses.ForwardBatch([]*nn.Tensor{x}, []uint64{stream})
+	if errs[0] != nil {
+		t.Fatal(errs[0])
+	}
+	return outs[0]
+}
+
 // TestShardCountInvariance pins the tentpole contract: a prediction is a
 // pure function of (engine config, request stream, input) and does not
 // depend on how many shards the layers are sliced across — serially and
@@ -71,8 +81,7 @@ func TestShardCountInvariance(t *testing.T) {
 		ses := pool.NewSession(1)
 		serial := make(map[uint64][]float64, len(streams))
 		for _, stream := range streams {
-			ses.Reseed(stream)
-			serial[stream] = append([]float64(nil), ses.Forward(testInput(stream)).Data...)
+			serial[stream] = append([]float64(nil), forward(t, ses, stream, testInput(stream)).Data...)
 		}
 		if ref == nil {
 			ref = serial
@@ -102,29 +111,6 @@ func TestShardCountInvariance(t *testing.T) {
 	}
 }
 
-// TestPoolMatchesReplicaSet pins the 1-shard pool against the bare replica
-// set it wraps: the pool adds routing indirection, not arithmetic.
-func TestPoolMatchesReplicaSet(t *testing.T) {
-	set, err := replica.NewSet(noisyEngine(t), poolConfig(1).Replicas)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool, err := NewPool(noisyEngine(t), poolConfig(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs, ps := set.NewSession(1), pool.NewSession(1)
-	for _, stream := range []uint64{5, 6, 7} {
-		rs.Reseed(stream)
-		ps.Reseed(stream)
-		want := rs.Forward(testInput(stream)).Data
-		got := ps.Forward(testInput(stream)).Data
-		if !equalF64(got, want) {
-			t.Fatalf("stream %d: pool %v, replica set %v", stream, got, want)
-		}
-	}
-}
-
 // TestDrainRepairRejoin walks one shard through the maintenance lifecycle
 // while a sibling keeps serving from hardware, and checks the lifecycle is
 // observable in Status.
@@ -149,8 +135,7 @@ func TestDrainRepairRejoin(t *testing.T) {
 	}
 	// Traffic still answers while drained: the shard's layers run software.
 	ses := pool.NewSession(1)
-	ses.Reseed(42)
-	if out := ses.Forward(testInput(42)); len(out.Data) != 4 {
+	if out := forward(t, ses, 42, testInput(42)); len(out.Data) != 4 {
 		t.Fatalf("drained forward returned %d outputs", len(out.Data))
 	}
 	// Sibling untouched.
@@ -174,8 +159,7 @@ func TestDrainRepairRejoin(t *testing.T) {
 	}
 	perLayer := map[int]accel.Stats{}
 	ses.DrainBatchLayerStatsInto(0, perLayer) // drop the earlier passes' tallies
-	ses.Reseed(44)
-	ses.Forward(testInput(44))
+	forward(t, ses, 44, testInput(44))
 	ses.DrainBatchLayerStatsInto(0, perLayer)
 	for _, li := range sh.Layers() {
 		if st := perLayer[li]; st.RowReads != 0 || st.SoftMVMs == 0 {
@@ -198,8 +182,7 @@ func TestDrainRepairRejoin(t *testing.T) {
 	if len(st.DegradedLayers) != 0 {
 		t.Fatalf("rejoined shard still degrades %v", st.DegradedLayers)
 	}
-	ses.Reseed(43)
-	if out := ses.Forward(testInput(43)); len(out.Data) != 4 {
+	if out := forward(t, ses, 43, testInput(43)); len(out.Data) != 4 {
 		t.Fatalf("rejoined forward returned %d outputs", len(out.Data))
 	}
 }
